@@ -9,7 +9,7 @@ mapping checks that every intermediate monitor state denotes the same
 truth value as the verdict eventually reached.
 """
 
-from .engine import Monitor, MonitorError, RunResult, StepOutcome, Verdict, explain, new_monitor, run_trace
+from .engine import Monitor, MonitorError, RunResult, StepOutcome, Verdict, explain, run_trace
 from .ltl import (
     Always,
     And,
@@ -30,7 +30,6 @@ from .ltl import (
     format_formula,
     is_nnf,
     parse_formula,
-    subformulas,
     to_nnf,
 )
 from .mapcheck import CheckReport, UnsupportedFormulaError, check_run, map_state
@@ -112,7 +111,6 @@ __all__ = [
     "gen_traces",
     "is_nnf",
     "map_state",
-    "new_monitor",
     "oracle_eval",
     "parse_formula",
     "parse_trace_inline",
@@ -120,6 +118,5 @@ __all__ = [
     "read_trace_file",
     "rule_count_bound",
     "run_trace",
-    "subformulas",
     "to_nnf",
 ]

@@ -89,10 +89,6 @@ class StepOutcome:
     def rows(self) -> str:
         return _render_block(self)
 
-    @property
-    def snapshot(self) -> str:
-        return self.rows()
-
     def to_dict(self) -> dict:
         return {
             "cell": self.cell,
@@ -125,9 +121,9 @@ class Monitor:
         self.system = system
         self.cell = 0
         self.verdict = Verdict.UNDECIDED
-        self._instances: dict[tuple[int, int], _Instance] = {}
-        self._live: list[dict[int, _Instance]] = [dict() for _ in system.nodes]
+        self._live: list[dict[int, _Instance]] = [dict() for _ in system.nodes]  # fid -> epoch -> instance
         self._spawn(system.initial, 0)
+        self._state = self.active()  # the next cell's state_before
 
     # -- state inspection ---------------------------------------------------
 
@@ -143,15 +139,15 @@ class Monitor:
         return tuple(out)
 
     def live_count(self) -> int:
-        return len(self._instances)
+        return sum(len(insts) for insts in self._live)
 
     # -- lifecycle ----------------------------------------------------------
 
     def _spawn(self, names: tuple[RuleName, ...], epoch: int) -> None:
         nodes = self.system.nodes
         for name in names:
-            key = (name.fid, epoch)
-            if key in self._instances:
+            live = self._live[name.fid]
+            if epoch in live:
                 continue
             kind = nodes[name.fid].kind
             inst = _Instance(name.fid, epoch, name.mode)
@@ -159,8 +155,7 @@ class Monitor:
                 inst.watch = [epoch]
             elif kind == "until":
                 inst.ledger = UntilLedger(epoch)
-            self._instances[key] = inst
-            self._live[name.fid][epoch] = inst
+            live[epoch] = inst
 
     def step(self, observations, is_last: bool = False) -> StepOutcome:
         """Process one trace cell.  `is_last` puts the end-of-trace marker
@@ -169,7 +164,7 @@ class Monitor:
             raise MonitorError("monitor already produced a verdict; the trace beyond it is ignored")
         obs = frozenset(observations)
         cell = self.cell
-        state_before = self.active()
+        state_before = self._state
 
         evaluations: list[tuple[int, int, TruthValue]] = []
         for fid, insts in enumerate(self._live):
@@ -182,7 +177,7 @@ class Monitor:
                     inst.resolved = True
                 evaluations.append((fid, epoch, value))
 
-        root_inst = self._instances.get((self.system.root, 0))
+        root_inst = self._live[self.system.root].get(0)
         root_value = root_inst.value if root_inst is not None else None
         if root_value is not None and root_value.kind == "T":
             self.verdict = Verdict.SUCCESS
@@ -193,7 +188,7 @@ class Monitor:
         if not self.finished:
             self._reactivate(cell)
             self._prune()
-            state_after = self.active()
+            state_after = self._state = self.active()
         self.cell = cell + 1
         return StepOutcome(
             system=self.system,
@@ -209,7 +204,7 @@ class Monitor:
     # -- evaluation ---------------------------------------------------------
 
     def _operand(self, fid: int, epoch: int) -> TruthValue:
-        inst = self._instances.get((fid, epoch))
+        inst = self._live[fid].get(epoch)
         if inst is None or inst.value is None:
             raise MonitorError(f"operand instance ({fid}@{epoch}) has no value yet")
         return inst.value
@@ -243,8 +238,9 @@ class Monitor:
         want = node.kind == "eventually"  # witness polarity: T for eventually, F for always
         pending: list[int] = []
         hit = False
+        subs = self._live[node.left]
         for epoch in inst.watch:
-            sub = self._instances[(node.left, epoch)]
+            sub = subs[epoch]
             if sub.resolved:
                 if sub.value.is_true() == want:
                     hit = True
@@ -261,15 +257,15 @@ class Monitor:
         ledger = inst.ledger
         ledger.extend_to(cell)
         left, right = ledger.left, ledger.right
-        instances = self._instances
+        lefts, rights = self._live[node.left], self._live[node.right]
         for idx in range(ledger.settled, len(left)):
             j = ledger.anchor + idx
             if left[idx] is None:
-                sub = instances.get((node.left, j))
+                sub = lefts.get(j)
                 if sub is not None and sub.resolved:
                     left[idx] = sub.value.is_true()
             if right[idx] is None:
-                sub = instances.get((node.right, j))
+                sub = rights.get(j)
                 if sub is not None and sub.resolved:
                     right[idx] = sub.value.is_true()
         while ledger.settled < len(left) and left[ledger.settled] is True and right[ledger.settled] is False:
@@ -337,12 +333,7 @@ class Monitor:
         for insts in self._live:
             dead = [epoch for epoch, inst in insts.items() if inst.resolved]
             for epoch in dead:
-                inst = insts.pop(epoch)
-                del self._instances[(inst.fid, epoch)]
-
-
-def new_monitor(system: RuleSystem) -> Monitor:
-    return Monitor(system)
+                del insts[epoch]
 
 
 def run_trace(system: RuleSystem, trace: Trace) -> RunResult:

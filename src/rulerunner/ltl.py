@@ -334,10 +334,6 @@ class SubformulaIndex:
         return self._texts[fid]
 
 
-def subformulas(f: Formula) -> SubformulaIndex:
-    return SubformulaIndex(f)
-
-
 def atoms_of(f: Formula) -> set[str]:
     """Atom names occurring in the formula (positively or negated)."""
     if isinstance(f, (Atom, NegAtom)):

@@ -1,16 +1,29 @@
-"""Compilation of an NNF formula into an evaluation/reactivation rule system.
+"""Compilation of an NNF formula into the paper's rule system.
 
-The compiler walks subformulae in post-order.  Every subformula contributes
-the rules of its main operator's evaluation table (plus end-of-trace rules
-for the temporal operators), a reactivation rule binding each undecided
-value to the rule names active in the next cell, and its slice of the
-initial state.  The root additionally gains the two terminal rules.
+`compile_formula` builds only what the engine steps from: the subformula
+index, one `NodeInfo` per subformula (operator kind and operand ids) and
+`init_sets`, the rule names each subformula activates when it is spawned
+(the root's set is the initial state).  The engine evaluates those nodes
+through the `truth` tables.
+
+The evaluation and reactivation rules are a view derived from the same
+facts, built on the first read of `RuleSystem.eval_rules` or `react_rules`
+and cached.  Every subformula contributes the rules of its main operator's
+evaluation table (plus end-of-trace rules for the temporal operators) and a
+reactivation rule binding each undecided value to the rule names active in
+the next cell; the root additionally gains the two terminal rules.  The
+listing renders what the engine computes and is not executed.  For until in
+particular, the mode-A and mode-B rules (`truth.UNTIL_A`, `truth.UNTIL_B`)
+render the operator's table over the current operand values, while the
+engine decides an until from a per-instance ledger of operand outcomes at
+every cell since its anchor (`engine.UntilLedger`), which refines them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import truth
 from .ltl import (
@@ -26,7 +39,6 @@ from .ltl import (
     TrueConst,
     Until,
     WeakNext,
-    subformulas,
 )
 from .truth import FALSE, TRUE, UND, UND_A, UND_B, UND_L, UND_M, UND_R, EvalMode, TruthValue
 
@@ -123,10 +135,11 @@ class NodeInfo:
 
 @dataclass(frozen=True)
 class RuleSystem:
+    """The fields are what the engine steps from; `eval_rules` and
+    `react_rules` are the rule listing, built on first read and cached."""
+
     index: SubformulaIndex
     nodes: tuple[NodeInfo, ...]
-    eval_rules: tuple[EvaluationRule, ...]
-    react_rules: tuple[ReactivationRule, ...]
     init_sets: tuple[tuple[RuleName, ...], ...]  # Algorithm-level S per subformula
     root: int
 
@@ -136,6 +149,18 @@ class RuleSystem:
 
     def formula_text(self, fid: int) -> str:
         return self.index.text(fid)
+
+    @property
+    def eval_rules(self) -> tuple[EvaluationRule, ...]:
+        return self._listing[0]
+
+    @property
+    def react_rules(self) -> tuple[ReactivationRule, ...]:
+        return self._listing[1]
+
+    @cached_property
+    def _listing(self) -> tuple[tuple[EvaluationRule, ...], tuple[ReactivationRule, ...]]:
+        return _build_listing(self)
 
 
 def _merge(*name_groups: tuple[RuleName, ...]) -> tuple[RuleName, ...]:
@@ -204,93 +229,65 @@ def _unary_rules(op: str, fid: int, sub: int) -> list[EvaluationRule]:
     return rules
 
 
-def _assert_exclusive(rules: list[EvaluationRule]) -> None:
-    by_guard: dict[RuleName, list[EvaluationRule]] = {}
-    for rule in rules:
-        if rule.guard is not None:
-            by_guard.setdefault(rule.guard, []).append(rule)
-    for guard, group in by_guard.items():
-        maps = [_cond_map(rule) for rule in group]
-        for i, conds_a in enumerate(maps):
-            if conds_a is None:
-                continue
-            for conds_b in maps[i + 1 :]:
-                if conds_b is None:
-                    continue
-                # two rules overlap iff every condition they share agrees
-                if all(conds_a[k] == conds_b[k] for k in conds_a.keys() & conds_b.keys()):
-                    raise AssertionError(f"rules for guard {guard} are not mutually exclusive")
-
-
-def _cond_map(rule: EvaluationRule) -> dict[object, object] | None:
-    """Condition set as requirement map; None when the rule is unsatisfiable
-    (duplicate operands demanding different values, e.g. within `a U a`)."""
-    out: dict[object, object] = {}
-    for cond in rule.conditions:
-        if isinstance(cond, ValueCond):
-            key, req = ("value", cond.fid), cond.klass
-        elif isinstance(cond, ObsCond):
-            key, req = ("obs", cond.atom), cond.present
-        else:
-            continue
-        if key in out and out[key] != req:
-            return None
-        out[key] = req
-    return out
-
-
 def compile_formula(f: Formula) -> RuleSystem:
-    """Build the rule system for an NNF formula (Algorithm-faithful artifact)."""
-    index = subformulas(f)
+    """Build the rule system for an NNF formula: its node table and the
+    initial rule names of every subformula."""
+    index = SubformulaIndex(f)
     nodes = tuple(_node_info(g, index) for g in index.formulas)
+    init_sets: list[tuple[RuleName, ...]] = []
+    for fid, node in enumerate(nodes):
+        if node.kind in ("or", "and"):
+            init_sets.append(_merge(init_sets[node.left], init_sets[node.right], (RuleName(fid, EvalMode.B),)))
+        elif node.kind == "until":
+            init_sets.append(_merge(init_sets[node.left], init_sets[node.right], (RuleName(fid, EvalMode.A),)))
+        elif node.kind in ("eventually", "always"):
+            init_sets.append(_merge(init_sets[node.left], (RuleName(fid),)))
+        else:  # true, atoms, and next/weaknext, whose operand starts in the next cell
+            init_sets.append((RuleName(fid),))
+    return RuleSystem(index, nodes, tuple(init_sets), index.root)
+
+
+def _build_listing(sys: RuleSystem) -> tuple[tuple[EvaluationRule, ...], tuple[ReactivationRule, ...]]:
+    """Evaluation rules in firing order and reactivation rules of a compiled
+    system, derived from its nodes, initial sets and the truth tables."""
+    init_sets = sys.init_sets
     eval_rules: list[EvaluationRule] = []
     react_rules: list[ReactivationRule] = []
-    init_sets: list[tuple[RuleName, ...]] = []
-
-    for fid, node in enumerate(nodes):
-        own = (RuleName(fid),)
+    for fid, node in enumerate(sys.nodes):
+        own = RuleName(fid)
         if node.kind == "true":
-            eval_rules.append(EvaluationRule(RuleName(fid), (), fid, TRUE))
-            init_sets.append(own)
+            eval_rules.append(EvaluationRule(own, (), fid, TRUE))
         elif node.kind in ("atom", "negatom"):
             observed = TRUE if node.kind == "atom" else FALSE
             missing = FALSE if node.kind == "atom" else TRUE
-            eval_rules.append(EvaluationRule(RuleName(fid), (ObsCond(node.atom, True),), fid, observed))
-            eval_rules.append(EvaluationRule(RuleName(fid), (ObsCond(node.atom, False),), fid, missing))
-            init_sets.append(own)
+            eval_rules.append(EvaluationRule(own, (ObsCond(node.atom, True),), fid, observed))
+            eval_rules.append(EvaluationRule(own, (ObsCond(node.atom, False),), fid, missing))
         elif node.kind in ("or", "and"):
             eval_rules.extend(_binary_rules(node.kind, fid, node.left, node.right))
             for und in (UND_B, UND_L, UND_R):
                 react_rules.append(ReactivationRule(fid, und, (RuleName(fid, und.mode),)))
-            init_sets.append(_merge(init_sets[node.left], init_sets[node.right], (RuleName(fid, EvalMode.B),)))
         elif node.kind == "until":
             eval_rules.extend(_binary_rules(node.kind, fid, node.left, node.right))
             respawn = _merge(init_sets[node.left], init_sets[node.right])
             for und in (UND_A, UND_B, UND_L, UND_R):
                 react_rules.append(ReactivationRule(fid, und, _merge(respawn, (RuleName(fid, und.mode),))))
-            init_sets.append(_merge(respawn, (RuleName(fid, EvalMode.A),)))
         elif node.kind in ("eventually", "always"):
             eval_rules.extend(_unary_rules(node.kind, fid, node.left))
-            react_rules.append(ReactivationRule(fid, UND, _merge(init_sets[node.left], own)))
-            init_sets.append(_merge(init_sets[node.left], own))
+            react_rules.append(ReactivationRule(fid, UND, init_sets[fid]))
         else:  # next / weaknext
             eval_rules.extend(_unary_rules(node.kind, fid, node.left))
             cont = (RuleName(fid, EvalMode.M),)
             react_rules.append(ReactivationRule(fid, UND, _merge(init_sets[node.left], cont)))
             react_rules.append(ReactivationRule(fid, UND_M, cont))
-            init_sets.append(own)
-
-    root = index.root
-    eval_rules.append(EvaluationRule(None, (ValueCond(root, "T"),), terminal="SUCCESS"))
-    eval_rules.append(EvaluationRule(None, (ValueCond(root, "F"),), terminal="FAILURE"))
-    _assert_exclusive(eval_rules)
-    return RuleSystem(index, nodes, tuple(eval_rules), tuple(react_rules), tuple(init_sets), root)
+    eval_rules.append(EvaluationRule(None, (ValueCond(sys.root, "T"),), terminal="SUCCESS"))
+    eval_rules.append(EvaluationRule(None, (ValueCond(sys.root, "F"),), terminal="FAILURE"))
+    return tuple(eval_rules), tuple(react_rules)
 
 
 def rule_count_bound(f: Formula) -> int:
     """Upper bound on evaluation-rule count: 16 per distinct subformula
     (the until worst case) plus the two terminal rules."""
-    return 16 * len(subformulas(f)) + 2
+    return 16 * len(SubformulaIndex(f)) + 2
 
 
 def dump_rules(sys: RuleSystem) -> str:

@@ -11,7 +11,6 @@ from rulerunner import (
     Verdict,
     compile_formula,
     explain,
-    new_monitor,
     oracle_eval,
     parse_formula,
     parse_trace_inline,
@@ -35,7 +34,7 @@ def verdict_of(text: str, trace: str) -> Verdict:
 
 class TestInitialState:
     def test_worked_example(self):
-        monitor = new_monitor(system_for("a | F b"))
+        monitor = Monitor(system_for("a | F b"))
         state = monitor.active()
         rendered = ", ".join(
             RuleName(fid, mode).render(monitor.system.index) for fid, _, mode in state
@@ -44,11 +43,11 @@ class TestInitialState:
         assert all(epoch == 0 for _, epoch, _ in state)
 
     def test_true(self):
-        monitor = new_monitor(system_for("true"))
+        monitor = Monitor(system_for("true"))
         assert [monitor.system.formula_text(fid) for fid, _, _ in monitor.active()] == ["true"]
 
     def test_next_holds_back_operand(self):
-        monitor = new_monitor(system_for("X a"))
+        monitor = Monitor(system_for("X a"))
         assert [monitor.system.formula_text(fid) for fid, _, _ in monitor.active()] == ["X a"]
 
 
@@ -87,14 +86,35 @@ class TestWorkedExampleEvolution:
         assert verdict_of("a | F b", "[c - a - b,d - b]") is verdict_of("a | F b", "[. - a - b - b]")
 
 
+class TestStateHandOff:
+    def test_state_before_is_previous_state_after(self):
+        rng = random.Random(2718)
+        formulas = [random_formula(3, ["a", "b"], rng) for _ in range(300)]
+        formulas += [to_nnf(parse_formula(t)) for t in ("G F X a", "G F a", "(X a) U b")]
+        multi_epoch = 0
+        for f in formulas:
+            system = compile_formula(f)
+            initial = Monitor(system).active()
+            for _ in range(4):
+                length = rng.randint(1, 8)
+                cells = tuple(frozenset(x for x in "ab" if rng.random() < 0.3) for _ in range(length))
+                outcomes = run_trace(system, Trace(cells)).outcomes
+                assert outcomes[0].state_before == initial
+                for prev, cur in zip(outcomes, outcomes[1:]):
+                    assert cur.state_before == prev.state_after
+                    fids = [fid for fid, _, _ in cur.state_before]
+                    multi_epoch += len(fids) != len(set(fids))
+        assert multi_epoch > 0  # the hand-off was exercised with several epochs of one formula live
+
+
 class TestStepExamples:
     def test_atom_unobserved_fails_at_once(self):
-        monitor = new_monitor(system_for("a"))
+        monitor = Monitor(system_for("a"))
         outcome = monitor.step(set(), is_last=True)
         assert outcome.verdict is Verdict.FAILURE
 
     def test_step_after_verdict_rejected(self):
-        monitor = new_monitor(system_for("a"))
+        monitor = Monitor(system_for("a"))
         monitor.step({"a"}, is_last=False)
         assert monitor.finished
         with pytest.raises(MonitorError):
@@ -215,7 +235,7 @@ class TestInvariants:
             assert order == sorted(order)
 
     def test_terminal_freezes_state(self):
-        monitor = new_monitor(system_for("F a"))
+        monitor = Monitor(system_for("F a"))
         monitor.step({"a"}, is_last=False)
         assert monitor.finished and monitor.verdict is Verdict.SUCCESS
         frozen = monitor.active()

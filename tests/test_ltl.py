@@ -16,6 +16,7 @@ from rulerunner import (
     Not,
     Or,
     ParseError,
+    SubformulaIndex,
     Trace,
     TrueConst,
     Until,
@@ -25,7 +26,6 @@ from rulerunner import (
     oracle_eval,
     parse_formula,
     random_formula,
-    subformulas,
     to_nnf,
 )
 
@@ -193,18 +193,18 @@ def test_format_parse_round_trip(f):
 
 class TestSubformulas:
     def test_worked_example_order(self):
-        idx = subformulas(parse_formula("a | F b"))
+        idx = SubformulaIndex(parse_formula("a | F b"))
         assert idx.formulas == [a, b, Eventually(b), Or(a, Eventually(b))]
 
     def test_single_atom(self):
-        assert subformulas(a).formulas == [a]
+        assert SubformulaIndex(a).formulas == [a]
 
     def test_duplicates_share_one_entry(self):
-        idx = subformulas(And(a, a))
+        idx = SubformulaIndex(And(a, a))
         assert idx.formulas == [a, And(a, a)]
 
     def test_post_order_ids(self):
-        idx = subformulas(parse_formula("(a U b) | X (a U b)"))
+        idx = SubformulaIndex(parse_formula("(a U b) | X (a U b)"))
         for f in idx.formulas:
             fid = idx.id_of(f)
             kids = []
@@ -217,18 +217,18 @@ class TestSubformulas:
 
     def test_root_has_largest_id(self):
         f = parse_formula("a U (b & X c)")
-        idx = subformulas(f)
+        idx = SubformulaIndex(f)
         assert idx.root == len(idx) - 1
         assert idx.formulas[idx.root] == f
 
     def test_requires_nnf(self):
         with pytest.raises(NnfError):
-            subformulas(Not(a))
+            SubformulaIndex(Not(a))
 
 
 @given(nnf_formulas())
 @settings(max_examples=200)
 def test_subformula_children_precede_parents(f):
-    idx = subformulas(f)
+    idx = SubformulaIndex(f)
     ids = [idx.id_of(g) for g in idx.formulas]
     assert ids == sorted(ids)

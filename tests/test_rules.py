@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import random
 
 import pytest
@@ -9,13 +10,16 @@ from rulerunner import (
     compile_formula,
     dump_rules,
     dump_rules_json,
+    enumerate_formulas,
     parse_formula,
+    parse_trace_inline,
     random_formula,
     rule_count_bound,
-    subformulas,
+    run_trace,
     to_nnf,
 )
-from rulerunner.rules import RuleName, ValueCond
+from rulerunner.rules import EvaluationRule, ObsCond, RuleName, ValueCond
+from rulerunner.truth import FALSE, TRUE
 
 
 def compile_text(text: str):
@@ -24,6 +28,50 @@ def compile_text(text: str):
 
 def rendered_rules(system):
     return [r.render(system.index) for r in system.eval_rules]
+
+
+def _assert_exclusive(rules) -> None:
+    """Raise unless the rules sharing a guard are pairwise exclusive: no
+    cell satisfies the conditions of two of them."""
+    by_guard: dict[RuleName, list[EvaluationRule]] = {}
+    for rule in rules:
+        if rule.guard is not None:
+            by_guard.setdefault(rule.guard, []).append(rule)
+    for guard, group in by_guard.items():
+        maps = [_cond_map(rule) for rule in group]
+        for i, conds_a in enumerate(maps):
+            if conds_a is None:
+                continue
+            for conds_b in maps[i + 1 :]:
+                if conds_b is None:
+                    continue
+                # two rules overlap iff every condition they share agrees
+                if all(conds_a[k] == conds_b[k] for k in conds_a.keys() & conds_b.keys()):
+                    raise AssertionError(f"rules for guard {guard} are not mutually exclusive")
+
+
+def _cond_map(rule: EvaluationRule) -> dict[object, object] | None:
+    """Condition set as requirement map; None when the rule is unsatisfiable
+    (duplicate operands demanding different values, e.g. within `a U a`)."""
+    out: dict[object, object] = {}
+    for cond in rule.conditions:
+        if isinstance(cond, ValueCond):
+            key, req = ("value", cond.fid), cond.klass
+        elif isinstance(cond, ObsCond):
+            key, req = ("obs", cond.atom), cond.present
+        else:
+            continue
+        if key in out and out[key] != req:
+            return None
+        out[key] = req
+    return out
+
+
+def _check_exclusive(formulas) -> int:
+    """Pool worker: the exclusivity check over one batch of formulae."""
+    for f in formulas:
+        _assert_exclusive(compile_formula(f).eval_rules)
+    return len(formulas)
 
 
 # The complete listing for `a | F b`: the four atom rules, the three
@@ -267,10 +315,40 @@ class TestStructuralProperties:
         f = to_nnf(parse_formula("(a U b) | G (a & X b)"))
         assert dump_rules(compile_formula(f)) == dump_rules(compile_formula(f))
 
+    def test_compile_and_run_build_no_listing(self):
+        system = compile_text("(a U b) | G F X a")
+        run_trace(system, parse_trace_inline("[a - . - b - a]"))
+        assert "eval_rules" not in vars(system) and "react_rules" not in vars(system)
+        assert set(vars(system)) == {"index", "nodes", "init_sets", "root"}
+        dump_rules(system)
+        assert system.eval_rules is system.eval_rules
+        assert system.react_rules is system.react_rules
+
     def test_duplicate_subformulas_compile_once(self):
         system = compile_text("(F a) | (F a)")
         texts = [system.formula_text(i) for i in range(len(system.nodes))]
         assert texts.count("F a") == 1
+
+
+class TestExclusivity:
+    def test_guarded_rules_exclusive_on_sweep_corpus(self):
+        # the differential sweep's formulae: every depth-2 formula over {a, b}
+        # plus the 3,000 seeded depth-3 ones
+        formulas = enumerate_formulas(2, ["a", "b"])
+        rng = random.Random(1234321)
+        formulas += [random_formula(3, ["a", "b"], rng) for _ in range(3000)]
+        batches = [formulas[lo : lo + 1000] for lo in range(0, len(formulas), 1000)]
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            checked = sum(pool.imap_unordered(_check_exclusive, batches))
+        assert checked == len(formulas) == 33405
+
+    def test_overlapping_rules_raise(self):
+        guard = RuleName(2, EvalMode.B)
+        left_true = EvaluationRule(guard, (ValueCond(0, "T"),), 2, TRUE)
+        overlapping = EvaluationRule(guard, (ValueCond(0, "T"), ValueCond(1, "F")), 2, FALSE)
+        with pytest.raises(AssertionError, match="not mutually exclusive"):
+            _assert_exclusive([left_true, overlapping])
+        _assert_exclusive([left_true, EvaluationRule(guard, (ValueCond(0, "F"),), 2, FALSE)])
 
 
 class TestMachineDump:
