@@ -1,24 +1,34 @@
 """Per-cell monitoring cycle over a compiled rule system.
 
-Each activation is an instance ``(formula id, epoch)`` where the epoch is
-the cell at which that monitor instance was spawned.  Epochs disambiguate
-re-spawned temporal subformulae that are still mid-flight (for example the
-operand of an eventually that is itself a next); for formulae whose
-temporal operators have purely propositional operands at most one epoch
-per subformula is ever live and the flat rule-set behaviour is recovered
-exactly.
+Each activation is an instance of one subformula that holds its operand
+instances by reference: an and/or its two operands, a next or weak next
+the operand instance it spawned for the following cell, an eventually or
+always the operand instances it still waits on, and an until the pending
+operand instances of every cell that can still witness it (`UntilLedger`).
+An instance's epoch names the oldest spawn cell of the class of equivalent
+instances it stands for; instances of one subformula are listed, fired
+and rendered in epoch order, and tagged ``@epoch`` when several are live.
 
-A cell is processed in three phases, firing each active instance at most
-once, in compiled (post-order) rule order: observations are added, truth
-values are computed bottom-up, then undecided evaluations reactivate their
-rule names for the next cell.  Operand values are read per instance;
-eventually/always aggregate over all sub-instances they have spawned, and
-until consults a per-instance ledger of operand outcomes per spawn cell.
+A cell is processed in four phases, firing each live instance once in
+compiled (post-order) order.  Observations are added and truth values are
+computed bottom-up.  Instances that resolved, and instances no live parent
+holds any more, are dropped, parents first, so an instance nobody reads
+is never stepped again.  Undecided instances reactivate for the next
+cell, spawning fresh operand instances.  Last, instances of one
+subformula whose futures are identical -- same mode and the same operand
+instances or ledger entries -- are folded into the oldest one, so
+`explain` and `StepOutcome.to_dict()` show one row per class.  With
+operand instances folded bottom-up, the live state is bounded by the
+formula alone, whatever the trace length; for formulae whose temporal
+operators have purely propositional operands at most one instance per
+subformula is ever live and the flat rule-set behaviour is recovered
+exactly.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 
 from . import truth
@@ -40,37 +50,218 @@ class MonitorError(RuntimeError):
     pass
 
 
-class UntilLedger:
-    """Per-instance outcome ledger for an until: for every cell since the
-    anchor, the tri-state results of the two operand instances spawned
-    there (True / False / None while pending).  Resolved entries never
-    change; a settled prefix (operand one true, operand two false) is
-    skipped during scans but kept, so entries exist for every cell from
-    the anchor to the current one."""
-
-    __slots__ = ("anchor", "left", "right", "settled")
-
-    def __init__(self, anchor: int):
-        self.anchor = anchor
-        self.left: list[bool | None] = []
-        self.right: list[bool | None] = []
-        self.settled = 0
-
-    def extend_to(self, cell: int) -> None:
-        while self.anchor + len(self.left) <= cell:
-            self.left.append(None)
-            self.right.append(None)
+# Node kinds as int codes, leaves first.
+_ATOM, _NEGATOM, _TRUE, _OR, _AND, _NEXT, _WEAKNEXT, _EVENTUALLY, _ALWAYS, _UNTIL = range(10)
+_CODES = {
+    "atom": _ATOM,
+    "negatom": _NEGATOM,
+    "true": _TRUE,
+    "or": _OR,
+    "and": _AND,
+    "next": _NEXT,
+    "weaknext": _WEAKNEXT,
+    "eventually": _EVENTUALLY,
+    "always": _ALWAYS,
+    "until": _UNTIL,
+}
+_PLAIN, _L, _R, _M = EvalMode.PLAIN, EvalMode.L, EvalMode.R, EvalMode.M
 
 
-@dataclass(slots=True)
+class _Node:
+    """One subformula as the monitor steps it: kind code, operator name for
+    the truth tables, atom, operand ids, and `init`, the (node, mode) pairs
+    its spawn activates, operands first."""
+
+    __slots__ = ("fid", "code", "op", "atom", "left", "right", "init")
+
+
+# id(system) -> (weak reference to the system, its rows); an entry goes
+# when its system is collected
+_ROWS: dict[int, tuple[weakref.ref, tuple[_Node, ...]]] = {}
+
+
+def _nodes_of(system: RuleSystem) -> tuple[_Node, ...]:
+    """The `_Node` rows of a rule system, built on its first monitor and
+    shared by the later ones."""
+    key = id(system)
+    hit = _ROWS.get(key)
+    if hit is not None and hit[0]() is system:
+        return hit[1]
+    nodes = tuple(_Node() for _ in system.nodes)
+    for fid, (info, node) in enumerate(zip(system.nodes, nodes)):
+        node.fid = fid
+        node.code = _CODES[info.kind]
+        node.op = info.kind
+        node.atom = info.atom
+        node.left = info.left
+        node.right = info.right
+        node.init = tuple((nodes[name.fid], name.mode) for name in system.init_sets[fid])
+    _ROWS[key] = (weakref.ref(system, lambda _: _ROWS.pop(key, None)), nodes)
+    return nodes
+
+
 class _Instance:
-    fid: int
-    epoch: int
-    mode: EvalMode
-    value: TruthValue | None = None
-    resolved: bool = False
-    watch: list[int] | None = None  # eventually/always: pending operand epochs
-    ledger: UntilLedger | None = None
+    """One live activation of a subformula.
+
+    `epoch` is the oldest spawn cell of the equivalent instances it stands
+    for.  Operands are held by reference: `left`/`right` for and/or,
+    `left` for a next/weak next once it mirrors (mode M), `watch` (the
+    pending operand instances) for eventually/always and `ledger` for
+    until.  `refs` counts those references held on this instance by live
+    parents, plus the monitor's on the root; `forward` names the survivor
+    once this instance has been folded into an equivalent one."""
+
+    __slots__ = (
+        "epoch", "code", "mode", "value", "resolved", "refs", "left", "right", "watch", "ledger", "forward"
+    )
+
+    def __init__(self, epoch: int, code: int, mode: EvalMode):
+        self.epoch = epoch
+        self.code = code
+        self.mode = mode
+        self.value: TruthValue | None = None
+        self.resolved = False
+        self.refs = 0
+        self.left: _Instance | None = None
+        self.right: _Instance | None = None
+        self.watch: list[_Instance] | None = None
+        self.ledger: UntilLedger | None = None
+        self.forward: _Instance | None = None
+
+    def key(self):
+        """Equal keys among instances of one subformula mean identical
+        futures: the same mode reading the same operand instances.  Leaves
+        never have two live instances, as each resolves in its spawn cell."""
+        code, mode = self.code, self.mode
+        if code == _OR or code == _AND:
+            if mode is _L:
+                return mode, self.left
+            if mode is _R:
+                return mode, self.right
+            return mode, self.left, self.right
+        if code == _NEXT or code == _WEAKNEXT:
+            return mode, self.left
+        if code == _UNTIL:
+            return mode, tuple(self.ledger.entries)
+        return frozenset(self.watch)
+
+    def release(self) -> None:
+        """Drop the references this instance holds on its operands."""
+        code = self.code
+        if code <= _TRUE:
+            return
+        if code == _OR or code == _AND:
+            self.left.refs -= 1
+            self.right.refs -= 1
+        elif code == _NEXT or code == _WEAKNEXT:
+            if self.left is not None:
+                self.left.refs -= 1
+        elif code == _UNTIL:
+            _release_entries(self.ledger.entries)
+        else:
+            for sub in self.watch:
+                sub.refs -= 1
+
+    def follow(self) -> None:
+        """Point references at folded operand instances to their survivors."""
+        code = self.code
+        if code == _OR or code == _AND:
+            self.left = self.left.forward or self.left
+            self.right = self.right.forward or self.right
+        elif code == _NEXT or code == _WEAKNEXT:
+            if self.left is not None:
+                self.left = self.left.forward or self.left
+        elif code == _UNTIL:
+            self.ledger.entries = [(_follow(l), _follow(r)) for l, r in self.ledger.entries]
+        else:
+            watch: list[_Instance] = []
+            for sub in self.watch:
+                sub = sub.forward or sub
+                if sub in watch:
+                    sub.refs -= 1
+                else:
+                    watch.append(sub)
+            self.watch = watch
+
+
+def _follow(outcome):
+    if outcome is True or outcome is False:
+        return outcome
+    return outcome.forward or outcome
+
+
+def _release_entries(entries) -> None:
+    for left, right in entries:
+        if left is not True and left is not False:
+            left.refs -= 1
+        if right is not True and right is not False:
+            right.refs -= 1
+
+
+class UntilLedger:
+    """The cells that can still witness one until instance, oldest first:
+    for each, the outcome of the operand instances spawned there, as the
+    pending instance or True/False once it resolved.  The ledger holds a
+    reference on every pending instance.  When the until is decided, an
+    entry is deleted once it can no longer change the outcome: a settled
+    cell (operand one true, operand two false), a repeat of an earlier
+    entry (which can witness only where the earlier one already does), and
+    every cell after the first whose operand one failed."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self) -> None:
+        self.entries: list[tuple] = []
+
+    def add(self, left: _Instance, right: _Instance) -> None:
+        left.refs += 1
+        right.refs += 1
+        self.entries.append((left, right))
+
+    def decide(self, at_end: bool) -> TruthValue:
+        """The until's value this cell, from its operands' values this cell;
+        deletes the entries that can no longer change it."""
+        kept: list[tuple] = []
+        dropped: list[tuple] = []
+        chain_broken = False
+        chain_pending = False
+        live = False
+        blocked_witness = False
+        for left, right in self.entries:
+            if left is not True and left is not False and left.resolved:
+                left = left.value.kind == "T"
+            if right is not True and right is not False and right.resolved:
+                right = right.value.kind == "T"
+            entry = (left, right)
+            if chain_broken or (left is True and right is False) or entry in kept:
+                dropped.append(entry)
+                continue
+            kept.append(entry)
+            if right is True:
+                if not chain_pending:
+                    return TRUE  # confirmed witness with a fully true chain
+                blocked_witness = True
+                live = True
+            elif right is not False:
+                live = True
+            if left is False:
+                chain_broken = True
+            elif left is not True:
+                chain_pending = True
+        # the last entry read is the current cell's
+        current_open = right is False and left is not True and left is not False
+        self.entries = kept
+        if dropped:
+            _release_entries(dropped)
+        if not live and (at_end or chain_broken):
+            return FALSE
+        if blocked_witness:
+            return truth.UND_L
+        if chain_broken:
+            return truth.UND_R
+        if current_open:
+            return truth.UND_B
+        return truth.UND_A
 
 
 @dataclass(frozen=True)
@@ -85,6 +276,9 @@ class StepOutcome:
     observations: tuple[str, ...]
     evaluations: tuple[tuple[int, int, TruthValue], ...]
     state_after: tuple[tuple[int, int, EvalMode], ...] | None
+    # (fid, epoch) of the instances folded into an older equivalent one
+    # on the way to state_after
+    folded: tuple[tuple[int, int], ...] = ()
 
     def rows(self) -> str:
         return _render_block(self)
@@ -121,8 +315,11 @@ class Monitor:
         self.system = system
         self.cell = 0
         self.verdict = Verdict.UNDECIDED
-        self._live: list[dict[int, _Instance]] = [dict() for _ in system.nodes]  # fid -> epoch -> instance
-        self._spawn(system.initial, 0)
+        self._nodes = _nodes_of(system)
+        self._live: list[dict[int, _Instance]] = [{} for _ in system.nodes]  # fid -> epoch -> instance
+        self._crowded = False  # some subformula may have two live instances
+        self._root = self._spawn(self._nodes[system.root], 0)
+        self._root.refs += 1
         self._state = self.active()  # the next cell's state_before
 
     # -- state inspection ---------------------------------------------------
@@ -132,30 +329,41 @@ class Monitor:
         return self.verdict is not Verdict.UNDECIDED
 
     def active(self) -> tuple[tuple[int, int, EvalMode], ...]:
-        out = []
-        for fid, insts in enumerate(self._live):
-            for epoch, inst in insts.items():
-                out.append((fid, epoch, inst.mode))
-        return tuple(out)
+        return tuple(
+            [(fid, epoch, inst.mode) for fid, insts in enumerate(self._live) for epoch, inst in insts.items()]
+        )
 
     def live_count(self) -> int:
         return sum(len(insts) for insts in self._live)
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _spawn(self, names: tuple[RuleName, ...], epoch: int) -> None:
-        nodes = self.system.nodes
-        for name in names:
-            live = self._live[name.fid]
-            if epoch in live:
+    def _spawn(self, node: _Node, epoch: int) -> _Instance:
+        """Activate a subformula's initial set at `epoch`, reusing instances
+        already spawned there, and return the subformula's instance."""
+        live = self._live
+        for sub, mode in node.init:
+            insts = live[sub.fid]
+            if epoch in insts:
                 continue
-            kind = nodes[name.fid].kind
-            inst = _Instance(name.fid, epoch, name.mode)
-            if kind == "eventually" or kind == "always":
-                inst.watch = [epoch]
-            elif kind == "until":
-                inst.ledger = UntilLedger(epoch)
-            live[epoch] = inst
+            if insts:
+                self._crowded = True
+            code = sub.code
+            inst = _Instance(epoch, code, mode)
+            if code == _OR or code == _AND:
+                inst.left = live[sub.left][epoch]
+                inst.right = live[sub.right][epoch]
+                inst.left.refs += 1
+                inst.right.refs += 1
+            elif code == _UNTIL:
+                inst.ledger = UntilLedger()
+                inst.ledger.add(live[sub.left][epoch], live[sub.right][epoch])
+            elif code == _EVENTUALLY or code == _ALWAYS:
+                operand = live[sub.left][epoch]
+                operand.refs += 1
+                inst.watch = [operand]
+            insts[epoch] = inst
+        return live[node.fid][epoch]
 
     def step(self, observations, is_last: bool = False) -> StepOutcome:
         """Process one trace cell.  `is_last` puts the end-of-trace marker
@@ -167,27 +375,44 @@ class Monitor:
         state_before = self._state
 
         evaluations: list[tuple[int, int, TruthValue]] = []
-        for fid, insts in enumerate(self._live):
+        append = evaluations.append
+        evaluate = self._evaluate
+        for node, insts in zip(self._nodes, self._live):
             if not insts:
                 continue
+            fid, code = node.fid, node.code
+            if code <= _TRUE:  # a leaf: one instance, spawned for this cell
+                if code == _ATOM:
+                    value = TRUE if node.atom in obs else FALSE
+                elif code == _NEGATOM:
+                    value = FALSE if node.atom in obs else TRUE
+                else:
+                    value = TRUE
+                for epoch, inst in insts.items():
+                    inst.value = value
+                    inst.resolved = True
+                    append((fid, epoch, value))
+                continue
             for epoch, inst in insts.items():
-                value = self._evaluate(inst, obs, cell, is_last)
+                value = evaluate(node, inst, is_last)
                 inst.value = value
                 if value.kind != "?":
                     inst.resolved = True
-                evaluations.append((fid, epoch, value))
+                append((fid, epoch, value))
 
-        root_inst = self._live[self.system.root].get(0)
-        root_value = root_inst.value if root_inst is not None else None
-        if root_value is not None and root_value.kind == "T":
+        root_value = self._root.value
+        if root_value.kind == "T":
             self.verdict = Verdict.SUCCESS
-        elif root_value is not None and root_value.kind == "F":
+        elif root_value.kind == "F":
             self.verdict = Verdict.FAILURE
 
         state_after = None
+        folded = ()
         if not self.finished:
-            self._reactivate(cell)
             self._prune()
+            self._reactivate(cell + 1)
+            if self._crowded:
+                folded = self._merge()
             state_after = self._state = self.active()
         self.cell = cell + 1
         return StepOutcome(
@@ -199,141 +424,115 @@ class Monitor:
             observations=tuple(sorted(obs)),
             evaluations=tuple(evaluations),
             state_after=state_after,
+            folded=folded,
         )
 
     # -- evaluation ---------------------------------------------------------
 
-    def _operand(self, fid: int, epoch: int) -> TruthValue:
-        inst = self._live[fid].get(epoch)
-        if inst is None or inst.value is None:
-            raise MonitorError(f"operand instance ({fid}@{epoch}) has no value yet")
-        return inst.value
-
-    def _evaluate(self, inst: _Instance, obs: frozenset[str], cell: int, at_end: bool) -> TruthValue:
-        node = self.system.nodes[inst.fid]
-        kind = node.kind
-        if kind == "atom":
-            return TRUE if node.atom in obs else FALSE
-        if kind == "negatom":
-            return FALSE if node.atom in obs else TRUE
-        if kind == "true":
-            return TRUE
-        if kind == "or" or kind == "and":
+    @staticmethod
+    def _evaluate(node: _Node, inst: _Instance, at_end: bool) -> TruthValue:
+        """Value of a non-leaf instance from its operands' values this cell."""
+        code = node.code
+        if code == _OR or code == _AND:
             mode = inst.mode
-            left = self._operand(node.left, inst.epoch) if mode is not EvalMode.R else None
-            right = self._operand(node.right, inst.epoch) if mode is not EvalMode.L else None
-            return truth.eval_binary(kind, mode, left, right)
-        if kind == "eventually" or kind == "always":
-            return truth.eval_unary(kind, EvalMode.PLAIN, self._aggregate(node, inst), at_end)
-        if kind == "next" or kind == "weaknext":
-            if inst.mode is EvalMode.PLAIN:
-                return truth.eval_unary(kind, EvalMode.PLAIN, UND, at_end)
-            return truth.eval_unary(kind, EvalMode.M, self._operand(node.left, inst.epoch + 1), at_end)
-        return self._evaluate_until(inst, node, cell, at_end)
+            left = inst.left.value if mode is not _R else None
+            right = inst.right.value if mode is not _L else None
+            return truth.eval_binary(node.op, mode, left, right)
+        if code == _UNTIL:
+            return inst.ledger.decide(at_end)
+        if code == _NEXT or code == _WEAKNEXT:
+            if inst.mode is _PLAIN:
+                return truth.eval_unary(node.op, _PLAIN, UND, at_end)
+            return truth.eval_unary(node.op, _M, inst.left.value, at_end)
+        return truth.eval_unary(node.op, _PLAIN, _aggregate(inst, code == _EVENTUALLY), at_end)
 
-    def _aggregate(self, node, inst: _Instance) -> TruthValue:
-        """Combined operand view of an eventually/always across the
-        instances it has spawned: one resolved witness decides, otherwise
-        undecided while anything is pending."""
-        want = node.kind == "eventually"  # witness polarity: T for eventually, F for always
-        pending: list[int] = []
-        hit = False
-        subs = self._live[node.left]
-        for epoch in inst.watch:
-            sub = subs[epoch]
-            if sub.resolved:
-                if sub.value.is_true() == want:
-                    hit = True
-            else:
-                pending.append(epoch)
-        inst.watch[:] = pending
-        if hit:
-            return TRUE if want else FALSE
-        if pending:
-            return UND
-        return FALSE if want else TRUE
-
-    def _evaluate_until(self, inst: _Instance, node, cell: int, at_end: bool) -> TruthValue:
-        ledger = inst.ledger
-        ledger.extend_to(cell)
-        left, right = ledger.left, ledger.right
-        lefts, rights = self._live[node.left], self._live[node.right]
-        for idx in range(ledger.settled, len(left)):
-            j = ledger.anchor + idx
-            if left[idx] is None:
-                sub = lefts.get(j)
-                if sub is not None and sub.resolved:
-                    left[idx] = sub.value.is_true()
-            if right[idx] is None:
-                sub = rights.get(j)
-                if sub is not None and sub.resolved:
-                    right[idx] = sub.value.is_true()
-        while ledger.settled < len(left) and left[ledger.settled] is True and right[ledger.settled] is False:
-            ledger.settled += 1
-
-        chain_broken = False
-        chain_pending = False
-        live = False
-        blocked_witness = False
-        for idx in range(ledger.settled, len(left)):
-            l, r = left[idx], right[idx]
-            if r is True and not chain_broken:
-                if not chain_pending:
-                    return TRUE  # confirmed witness with a fully true chain
-                blocked_witness = True
-                live = True
-            elif r is None and not chain_broken:
-                live = True
-            if l is False:
-                chain_broken = True
-            elif l is None:
-                chain_pending = True
-        future_possible = not at_end and not chain_broken
-        if not live and not future_possible:
-            return FALSE
-        if blocked_witness:
-            return truth.UND_L
-        if chain_broken:
-            return truth.UND_R
-        if right[-1] is False and left[-1] is None:
-            return truth.UND_B
-        return truth.UND_A
-
-    # -- reactivation ---------------------------------------------------------
-
-    def _reactivate(self, cell: int) -> None:
-        nxt = cell + 1
-        init_sets = self.system.init_sets
-        nodes = self.system.nodes
-        undecided = [
-            inst
-            for insts in self._live
-            for inst in insts.values()
-            if not inst.resolved
-        ]
-        for inst in undecided:
-            node = nodes[inst.fid]
-            kind = node.kind
-            if kind == "or" or kind == "and":
-                inst.mode = inst.value.mode
-            elif kind == "until":
-                inst.mode = inst.value.mode
-                self._spawn(init_sets[node.left], nxt)
-                self._spawn(init_sets[node.right], nxt)
-                inst.ledger.extend_to(nxt)
-            elif kind == "eventually" or kind == "always":
-                self._spawn(init_sets[node.left], nxt)
-                inst.watch.append(nxt)
-            elif kind == "next" or kind == "weaknext":
-                if inst.mode is EvalMode.PLAIN:
-                    inst.mode = EvalMode.M
-                    self._spawn(init_sets[node.left], nxt)
+    # -- between cells ---------------------------------------------------------
 
     def _prune(self) -> None:
-        for insts in self._live:
-            dead = [epoch for epoch, inst in insts.items() if inst.resolved]
-            for epoch in dead:
-                del insts[epoch]
+        """Drop resolved instances and those no live parent holds, parents
+        first, so that operands orphaned on the way go in the same pass."""
+        crowded = False
+        for insts in reversed(self._live):
+            if insts:
+                dead = [epoch for epoch, inst in insts.items() if inst.resolved or not inst.refs]
+                for epoch in dead:
+                    insts.pop(epoch).release()
+                if len(insts) > 1:
+                    crowded = True
+        self._crowded = crowded
+
+    def _reactivate(self, nxt: int) -> None:
+        # children carry smaller ids, so instances spawned here land in
+        # maps already passed and are not reactivated themselves
+        spawn = self._spawn
+        nodes = self._nodes
+        for node, insts in zip(nodes, self._live):
+            if not insts:
+                continue
+            code = node.code
+            if code == _OR or code == _AND:
+                for inst in insts.values():
+                    inst.mode = inst.value.mode
+            elif code == _UNTIL:
+                left, right = nodes[node.left], nodes[node.right]
+                for inst in insts.values():
+                    inst.mode = inst.value.mode
+                    inst.ledger.add(spawn(left, nxt), spawn(right, nxt))
+            elif code == _EVENTUALLY or code == _ALWAYS:
+                operand = nodes[node.left]
+                for inst in insts.values():
+                    sub = spawn(operand, nxt)
+                    sub.refs += 1
+                    inst.watch.append(sub)
+            elif code == _NEXT or code == _WEAKNEXT:  # leaves never outlive their cell
+                operand = nodes[node.left]
+                for inst in insts.values():
+                    if inst.mode is _PLAIN:
+                        inst.mode = _M
+                        inst.left = spawn(operand, nxt)
+                        inst.left.refs += 1
+
+    def _merge(self) -> tuple[tuple[int, int], ...]:
+        """Fold instances of one subformula with equal keys into the oldest,
+        bottom-up, so that parents compare their operands' survivors;
+        returns the (fid, epoch) of the folded instances."""
+        folded: set[int] = set()
+        gone: list[tuple[int, int]] = []
+        for node, insts in zip(self._nodes, self._live):
+            if not insts:
+                continue
+            if folded and (node.left in folded or node.right in folded):
+                for inst in insts.values():
+                    inst.follow()
+            if len(insts) < 2:
+                continue
+            survivors: dict = {}
+            for epoch, inst in list(insts.items()):
+                survivor = survivors.setdefault(inst.key(), inst)
+                if survivor is not inst:
+                    survivor.refs += inst.refs
+                    inst.forward = survivor
+                    inst.release()
+                    del insts[epoch]
+                    folded.add(node.fid)
+                    gone.append((node.fid, epoch))
+        return tuple(gone)
+
+
+def _aggregate(inst: _Instance, want: bool) -> TruthValue:
+    """Combined operand view of an eventually (`want` True) or always across
+    the operand instances it waits on: one resolved witness decides,
+    otherwise undecided while anything is pending."""
+    pending: list[_Instance] = []
+    for sub in inst.watch:
+        if not sub.resolved:
+            pending.append(sub)
+        elif (sub.value.kind == "T") is want:
+            return TRUE if want else FALSE
+    inst.watch = pending
+    if pending:
+        return UND
+    return FALSE if want else TRUE
 
 
 def run_trace(system: RuleSystem, trace: Trace) -> RunResult:

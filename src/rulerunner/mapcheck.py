@@ -2,9 +2,11 @@
 judgement value is invariant along a run and equal to the final verdict.
 
 The translation covers the core grammar only (no eventually/always, which
-are derived operators); runs in which several epochs of one subformula are
-live at once fall outside the flat-state reading and are reported as
-skipped from the first such step.
+are derived operators).  Runs in which several epochs of one subformula are
+live at once fall outside the flat-state reading, and so do runs in which
+the monitor folded equivalent instances of one subformula into one (the
+survivor then stands for obligations spawned at several cells); both are
+reported as skipped from the first such step.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ def _micro_states(system: RuleSystem, outcomes: list[StepOutcome]) -> tuple[list
         if outcome.verdict is not Verdict.UNDECIDED:
             push(cell, {}, {}, (), terminal=outcome.verdict)
         else:
-            if not single_epoch(outcome.state_after):
+            if outcome.folded or not single_epoch(outcome.state_after):
                 skipped_from = len(states)
                 break
             push(cell + 1, {fid: mode for fid, _, mode in outcome.state_after}, {}, rule_tokens(outcome.state_after))

@@ -16,7 +16,8 @@ listing renders what the engine computes and is not executed.  For until in
 particular, the mode-A and mode-B rules (`truth.UNTIL_A`, `truth.UNTIL_B`)
 render the operator's table over the current operand values, while the
 engine decides an until from a per-instance ledger of operand outcomes at
-every cell since its anchor (`engine.UntilLedger`), which refines them.
+every cell that can still witness it (`engine.UntilLedger`), which refines
+them.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -194,6 +195,17 @@ class TestExplain:
         middle = result.outcomes[1].rows()
         assert "R[X a]M@0" in middle and "R[X a]@1" in middle
 
+    def test_folded_instances_leave_the_state(self):
+        # G F a: the F a spawned at cell 1 waits on the same a as the one
+        # spawned at cell 0, so it is folded into it and F a keeps epoch 0
+        system = system_for("G F a")
+        eventually = system.index.id_of(to_nnf(parse_formula("F a")))
+        outcomes = run_trace(system, parse_trace_inline("[. - . - .]")).outcomes
+        for outcome in outcomes[:-1]:
+            assert outcome.folded == ((eventually, outcome.cell + 1),)
+            assert [epoch for fid, epoch, _ in outcome.state_after if fid == eventually] == [0]
+        assert "@" not in explain(outcomes)
+
     def test_empty_cell_row(self):
         result = run("a", "[.]")
         rows = result.outcomes[0].rows()
@@ -306,6 +318,29 @@ class TestDifferentialSmoke:
         _, mismatches = run_differential(formulas, traces)
         assert mismatches == []
 
+    def test_long_random_traces(self):
+        """Criterion 4's traces have at most 6 cells, too few for instances
+        of one subformula to fold often; these are 10-60 cells long."""
+        rng = random.Random(20261018)
+        runs = 0
+        mismatches = []
+        for k in range(1500):
+            f = random_formula(3 + k % 2, ["a", "b"], rng)
+            system = compile_formula(f)
+            for _ in range(4):
+                density = rng.choice((0.05, 0.3, 0.7))
+                cells = tuple(
+                    frozenset(x for x in ("a", "b") if rng.random() < density)
+                    for _ in range(rng.randint(10, 60))
+                )
+                trace = Trace(cells)
+                verdict = run_trace(system, trace).verdict
+                runs += 1
+                if verdict is Verdict.UNDECIDED or (verdict is Verdict.SUCCESS) != oracle_eval(f, trace, 0):
+                    mismatches.append((f, cells, verdict))
+        assert runs == 6000
+        assert mismatches == []
+
 
 class TestStateSize:
     def test_always_monitor_state_constant(self):
@@ -316,3 +351,43 @@ class TestStateSize:
             monitor.step({"a"}, is_last=False)
             sizes.add(monitor.live_count())
         assert len(sizes) == 1
+
+    # formula, and the observations its undecided trace repeats
+    PROBES = [
+        ("G a", [{"a"}]),
+        ("a U b", [{"a"}]),
+        ("G F a", [()]),
+        ("G F X a", [()]),
+        ("G (!a | F b)", [{"a"}]),
+        ("G (a U b)", [{"a"}]),
+        ("G (a | X b)", [(), {"a", "b"}]),
+    ]
+
+    @pytest.mark.parametrize("text, pattern", PROBES, ids=[text for text, _ in PROBES])
+    def test_live_instances_bounded_on_long_traces(self, text, pattern):
+        """Live state depends on the formula, not on the trace length: the
+        bound holds after every one of 100k undecided cells."""
+        system = system_for(text)
+        monitor = Monitor(system)
+        bound = 2 * len(system.nodes)
+        for i in range(100_000):
+            monitor.step(pattern[i % len(pattern)])
+            assert monitor.live_count() <= bound, f"{text}: {monitor.live_count()} live after cell {i}"
+        assert not monitor.finished
+
+    def test_until_keeps_no_settled_cells(self):
+        """`a U b` with `a` held settles every cell; none of them stays in
+        the until's ledger, so memory does not grow with the trace."""
+        monitor = Monitor(system_for("a U b"))
+        tracemalloc.start()
+        try:
+            for _ in range(1000):
+                monitor.step({"a"})
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(9000):
+                monitor.step({"a"})
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert not monitor.finished
+        assert grown < 4096

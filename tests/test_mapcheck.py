@@ -6,9 +6,11 @@ from rulerunner import (
     Trace,
     Verdict,
     check_run,
+    compile_formula,
     parse_formula,
     parse_trace_inline,
     random_formula,
+    run_trace,
     to_nnf,
 )
 from rulerunner.ltl import And, Next, Or, Until, WeakNext
@@ -100,6 +102,20 @@ class TestExclusions:
         # (X a) U b keeps an X a pending across the reactivation that spawns
         # the next X a: two live instances, outside the flat-state model
         report = check("(X a) U b", "[. - . - a,b]")
+        assert report.skipped_from is not None
+        assert report.passed
+
+    def test_folded_runs_skipped_not_failed(self):
+        # the a U b spawned for cell 2 is folded into the one spawned for
+        # cell 1: one live instance, but it stands for the obligations of two
+        f = to_nnf(parse_formula("W ((a U b) U b)"))
+        u = parse_trace_inline("[a - a - a,b - .]")
+        outcomes = run_trace(compile_formula(f), u).outcomes
+        assert any(outcome.folded for outcome in outcomes)
+        for outcome in outcomes:
+            fids = [fid for fid, _, _ in outcome.state_before]
+            assert len(fids) == len(set(fids))
+        report = check_run(f, u)
         assert report.skipped_from is not None
         assert report.passed
 
