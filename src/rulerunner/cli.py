@@ -19,6 +19,7 @@ from .traces import (
     GenParams,
     Trace,
     TraceError,
+    _parse_cell,
     format_trace_file,
     format_trace_inline,
     gen_traces,
@@ -59,26 +60,22 @@ def cmd_run(args) -> int:
     return EXIT_SUCCESS if result.verdict is Verdict.SUCCESS else EXIT_FAILURE
 
 
-def _parse_stream_cell(line: str) -> frozenset[str]:
-    stripped = line.strip()
-    if not stripped or stripped == ".":
-        return frozenset()
-    return parse_trace_inline(stripped)[0]
-
-
 def cmd_stream(args) -> int:
-    """One cell per stdin line; `$end` announces that the trace is over
-    (an online monitor cannot see the last cell coming, so the event
-    source must say so).  EOF counts as `$end`."""
+    """One cell per stdin line, in trace-file cell syntax; a line that is
+    not exactly one cell is skipped with a diagnostic.  `$end` announces
+    that the trace is over (an online monitor cannot see the last cell
+    coming, so the event source must say so).  EOF counts as `$end`.  A
+    trace closed before any cell is monitored as one empty cell, so `G a`
+    fails and `W a` succeeds on empty input."""
     system = compile_formula(_parse_nnf(args.formula))
     monitor = Monitor(system)
     cells: list[frozenset[str]] = []
     verdict = Verdict.UNDECIDED
-    for line in sys.stdin:
+    for lineno, line in enumerate(sys.stdin, start=1):
         if line.strip() == "$end":
             break
         try:
-            cell = _parse_stream_cell(line)
+            cell = _parse_cell(line, f"line {lineno}")
         except TraceError as exc:
             print(f"skipped malformed cell: {exc}", file=sys.stderr)
             continue

@@ -1,5 +1,11 @@
 """Per-cell monitoring cycle over a compiled rule system.
 
+A `Monitor` steps from the system's own `nodes` and `init_sets` and the
+`truth` tables: it dispatches on each node's `NodeInfo.code`, spawns a
+subformula by activating the rule names of its initial set, and passes the
+node's `kind` to `truth.eval_binary`/`eval_unary`.  It reads no other copy
+of the formula and never the rule listing.
+
 Each activation is an instance of one subformula that holds its operand
 instances by reference: an and/or its two operands, a next or weak next
 the operand instance it spawned for the following cell, an eventually or
@@ -28,11 +34,11 @@ exactly.
 from __future__ import annotations
 
 import enum
-import weakref
 from dataclasses import dataclass, field
 
 from . import truth
-from .rules import RuleName, RuleSystem
+from .rules import K_ALWAYS, K_AND, K_ATOM, K_EVENTUALLY, K_NEGATOM, K_NEXT, K_OR, K_TRUE, K_UNTIL, K_WEAKNEXT
+from .rules import NodeInfo, RuleName, RuleSystem
 from .traces import Trace
 from .truth import FALSE, TRUE, UND, EvalMode, TruthValue
 
@@ -50,54 +56,7 @@ class MonitorError(RuntimeError):
     pass
 
 
-# Node kinds as int codes, leaves first.
-_ATOM, _NEGATOM, _TRUE, _OR, _AND, _NEXT, _WEAKNEXT, _EVENTUALLY, _ALWAYS, _UNTIL = range(10)
-_CODES = {
-    "atom": _ATOM,
-    "negatom": _NEGATOM,
-    "true": _TRUE,
-    "or": _OR,
-    "and": _AND,
-    "next": _NEXT,
-    "weaknext": _WEAKNEXT,
-    "eventually": _EVENTUALLY,
-    "always": _ALWAYS,
-    "until": _UNTIL,
-}
 _PLAIN, _L, _R, _M = EvalMode.PLAIN, EvalMode.L, EvalMode.R, EvalMode.M
-
-
-class _Node:
-    """One subformula as the monitor steps it: kind code, operator name for
-    the truth tables, atom, operand ids, and `init`, the (node, mode) pairs
-    its spawn activates, operands first."""
-
-    __slots__ = ("fid", "code", "op", "atom", "left", "right", "init")
-
-
-# id(system) -> (weak reference to the system, its rows); an entry goes
-# when its system is collected
-_ROWS: dict[int, tuple[weakref.ref, tuple[_Node, ...]]] = {}
-
-
-def _nodes_of(system: RuleSystem) -> tuple[_Node, ...]:
-    """The `_Node` rows of a rule system, built on its first monitor and
-    shared by the later ones."""
-    key = id(system)
-    hit = _ROWS.get(key)
-    if hit is not None and hit[0]() is system:
-        return hit[1]
-    nodes = tuple(_Node() for _ in system.nodes)
-    for fid, (info, node) in enumerate(zip(system.nodes, nodes)):
-        node.fid = fid
-        node.code = _CODES[info.kind]
-        node.op = info.kind
-        node.atom = info.atom
-        node.left = info.left
-        node.right = info.right
-        node.init = tuple((nodes[name.fid], name.mode) for name in system.init_sets[fid])
-    _ROWS[key] = (weakref.ref(system, lambda _: _ROWS.pop(key, None)), nodes)
-    return nodes
 
 
 class _Instance:
@@ -133,30 +92,30 @@ class _Instance:
         futures: the same mode reading the same operand instances.  Leaves
         never have two live instances, as each resolves in its spawn cell."""
         code, mode = self.code, self.mode
-        if code == _OR or code == _AND:
+        if code == K_OR or code == K_AND:
             if mode is _L:
                 return mode, self.left
             if mode is _R:
                 return mode, self.right
             return mode, self.left, self.right
-        if code == _NEXT or code == _WEAKNEXT:
+        if code == K_NEXT or code == K_WEAKNEXT:
             return mode, self.left
-        if code == _UNTIL:
+        if code == K_UNTIL:
             return mode, tuple(self.ledger.entries)
         return frozenset(self.watch)
 
     def release(self) -> None:
         """Drop the references this instance holds on its operands."""
         code = self.code
-        if code <= _TRUE:
+        if code <= K_TRUE:
             return
-        if code == _OR or code == _AND:
+        if code == K_OR or code == K_AND:
             self.left.refs -= 1
             self.right.refs -= 1
-        elif code == _NEXT or code == _WEAKNEXT:
+        elif code == K_NEXT or code == K_WEAKNEXT:
             if self.left is not None:
                 self.left.refs -= 1
-        elif code == _UNTIL:
+        elif code == K_UNTIL:
             _release_entries(self.ledger.entries)
         else:
             for sub in self.watch:
@@ -165,13 +124,13 @@ class _Instance:
     def follow(self) -> None:
         """Point references at folded operand instances to their survivors."""
         code = self.code
-        if code == _OR or code == _AND:
+        if code == K_OR or code == K_AND:
             self.left = self.left.forward or self.left
             self.right = self.right.forward or self.right
-        elif code == _NEXT or code == _WEAKNEXT:
+        elif code == K_NEXT or code == K_WEAKNEXT:
             if self.left is not None:
                 self.left = self.left.forward or self.left
-        elif code == _UNTIL:
+        elif code == K_UNTIL:
             self.ledger.entries = [(_follow(l), _follow(r)) for l, r in self.ledger.entries]
         else:
             watch: list[_Instance] = []
@@ -271,7 +230,6 @@ class StepOutcome:
     system: RuleSystem = field(repr=False)
     cell: int
     verdict: Verdict
-    root_value: TruthValue | None
     state_before: tuple[tuple[int, int, EvalMode], ...]
     observations: tuple[str, ...]
     evaluations: tuple[tuple[int, int, TruthValue], ...]
@@ -315,10 +273,11 @@ class Monitor:
         self.system = system
         self.cell = 0
         self.verdict = Verdict.UNDECIDED
-        self._nodes = _nodes_of(system)
+        self._nodes = system.nodes
+        self._init_sets = system.init_sets
         self._live: list[dict[int, _Instance]] = [{} for _ in system.nodes]  # fid -> epoch -> instance
         self._crowded = False  # some subformula may have two live instances
-        self._root = self._spawn(self._nodes[system.root], 0)
+        self._root = self._spawn(system.root, 0)
         self._root.refs += 1
         self._state = self.active()  # the next cell's state_before
 
@@ -338,32 +297,35 @@ class Monitor:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _spawn(self, node: _Node, epoch: int) -> _Instance:
+    def _spawn(self, fid: int, epoch: int) -> _Instance:
         """Activate a subformula's initial set at `epoch`, reusing instances
         already spawned there, and return the subformula's instance."""
         live = self._live
-        for sub, mode in node.init:
-            insts = live[sub.fid]
+        nodes = self._nodes
+        for name in self._init_sets[fid]:
+            sub_fid = name.fid
+            insts = live[sub_fid]
             if epoch in insts:
                 continue
             if insts:
                 self._crowded = True
+            sub = nodes[sub_fid]
             code = sub.code
-            inst = _Instance(epoch, code, mode)
-            if code == _OR or code == _AND:
+            inst = _Instance(epoch, code, name.mode)
+            if code == K_OR or code == K_AND:
                 inst.left = live[sub.left][epoch]
                 inst.right = live[sub.right][epoch]
                 inst.left.refs += 1
                 inst.right.refs += 1
-            elif code == _UNTIL:
+            elif code == K_UNTIL:
                 inst.ledger = UntilLedger()
                 inst.ledger.add(live[sub.left][epoch], live[sub.right][epoch])
-            elif code == _EVENTUALLY or code == _ALWAYS:
+            elif code == K_EVENTUALLY or code == K_ALWAYS:
                 operand = live[sub.left][epoch]
                 operand.refs += 1
                 inst.watch = [operand]
             insts[epoch] = inst
-        return live[node.fid][epoch]
+        return live[fid][epoch]
 
     def step(self, observations, is_last: bool = False) -> StepOutcome:
         """Process one trace cell.  `is_last` puts the end-of-trace marker
@@ -377,14 +339,16 @@ class Monitor:
         evaluations: list[tuple[int, int, TruthValue]] = []
         append = evaluations.append
         evaluate = self._evaluate
-        for node, insts in zip(self._nodes, self._live):
+        nodes = self._nodes
+        for fid, insts in enumerate(self._live):
             if not insts:
                 continue
-            fid, code = node.fid, node.code
-            if code <= _TRUE:  # a leaf: one instance, spawned for this cell
-                if code == _ATOM:
+            node = nodes[fid]
+            code = node.code
+            if code <= K_TRUE:  # a leaf: one instance, spawned for this cell
+                if code == K_ATOM:
                     value = TRUE if node.atom in obs else FALSE
-                elif code == _NEGATOM:
+                elif code == K_NEGATOM:
                     value = FALSE if node.atom in obs else TRUE
                 else:
                     value = TRUE
@@ -419,7 +383,6 @@ class Monitor:
             system=self.system,
             cell=cell,
             verdict=self.verdict,
-            root_value=root_value,
             state_before=state_before,
             observations=tuple(sorted(obs)),
             evaluations=tuple(evaluations),
@@ -430,21 +393,21 @@ class Monitor:
     # -- evaluation ---------------------------------------------------------
 
     @staticmethod
-    def _evaluate(node: _Node, inst: _Instance, at_end: bool) -> TruthValue:
+    def _evaluate(node: NodeInfo, inst: _Instance, at_end: bool) -> TruthValue:
         """Value of a non-leaf instance from its operands' values this cell."""
         code = node.code
-        if code == _OR or code == _AND:
+        if code == K_OR or code == K_AND:
             mode = inst.mode
             left = inst.left.value if mode is not _R else None
             right = inst.right.value if mode is not _L else None
-            return truth.eval_binary(node.op, mode, left, right)
-        if code == _UNTIL:
+            return truth.eval_binary(node.kind, mode, left, right)
+        if code == K_UNTIL:
             return inst.ledger.decide(at_end)
-        if code == _NEXT or code == _WEAKNEXT:
+        if code == K_NEXT or code == K_WEAKNEXT:
             if inst.mode is _PLAIN:
-                return truth.eval_unary(node.op, _PLAIN, UND, at_end)
-            return truth.eval_unary(node.op, _M, inst.left.value, at_end)
-        return truth.eval_unary(node.op, _PLAIN, _aggregate(inst, code == _EVENTUALLY), at_end)
+                return truth.eval_unary(node.kind, _PLAIN, UND, at_end)
+            return truth.eval_unary(node.kind, _M, inst.left.value, at_end)
+        return truth.eval_unary(node.kind, _PLAIN, _aggregate(inst, code == K_EVENTUALLY), at_end)
 
     # -- between cells ---------------------------------------------------------
 
@@ -470,22 +433,22 @@ class Monitor:
             if not insts:
                 continue
             code = node.code
-            if code == _OR or code == _AND:
+            if code == K_OR or code == K_AND:
                 for inst in insts.values():
                     inst.mode = inst.value.mode
-            elif code == _UNTIL:
-                left, right = nodes[node.left], nodes[node.right]
+            elif code == K_UNTIL:
+                left, right = node.left, node.right
                 for inst in insts.values():
                     inst.mode = inst.value.mode
                     inst.ledger.add(spawn(left, nxt), spawn(right, nxt))
-            elif code == _EVENTUALLY or code == _ALWAYS:
-                operand = nodes[node.left]
+            elif code == K_EVENTUALLY or code == K_ALWAYS:
+                operand = node.left
                 for inst in insts.values():
                     sub = spawn(operand, nxt)
                     sub.refs += 1
                     inst.watch.append(sub)
-            elif code == _NEXT or code == _WEAKNEXT:  # leaves never outlive their cell
-                operand = nodes[node.left]
+            elif code == K_NEXT or code == K_WEAKNEXT:  # leaves never outlive their cell
+                operand = node.left
                 for inst in insts.values():
                     if inst.mode is _PLAIN:
                         inst.mode = _M
@@ -498,7 +461,7 @@ class Monitor:
         returns the (fid, epoch) of the folded instances."""
         folded: set[int] = set()
         gone: list[tuple[int, int]] = []
-        for node, insts in zip(self._nodes, self._live):
+        for fid, (node, insts) in enumerate(zip(self._nodes, self._live)):
             if not insts:
                 continue
             if folded and (node.left in folded or node.right in folded):
@@ -514,8 +477,8 @@ class Monitor:
                     inst.forward = survivor
                     inst.release()
                     del insts[epoch]
-                    folded.add(node.fid)
-                    gone.append((node.fid, epoch))
+                    folded.add(fid)
+                    gone.append((fid, epoch))
         return tuple(gone)
 
 

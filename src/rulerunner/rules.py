@@ -1,10 +1,11 @@
 """Compilation of an NNF formula into the paper's rule system.
 
 `compile_formula` builds only what the engine steps from: the subformula
-index, one `NodeInfo` per subformula (operator kind and operand ids) and
-`init_sets`, the rule names each subformula activates when it is spawned
-(the root's set is the initial state).  The engine evaluates those nodes
-through the `truth` tables.
+index, one `NodeInfo` per subformula (operator kind, its dispatch code
+`code`, atom and operand ids) and `init_sets`, the rule names each
+subformula activates when it is spawned (the root's set is the initial
+state).  The engine steps a monitor from those nodes and initial sets,
+dispatching on `NodeInfo.code` and evaluating through the `truth` tables.
 
 The evaluation and reactivation rules are a view derived from the same
 facts, built on the first read of `RuleSystem.eval_rules` or `react_rules`
@@ -46,21 +47,24 @@ from .truth import FALSE, TRUE, UND, UND_A, UND_B, UND_L, UND_M, UND_R, EvalMode
 _CLASSES = ("T", "?", "F")
 _REP = {"T": TRUE, "?": UND, "F": FALSE}
 
-_KIND_OF = {
-    TrueConst: "true",
-    Atom: "atom",
-    NegAtom: "negatom",
-    Or: "or",
-    And: "and",
-    Until: "until",
-    Next: "next",
-    WeakNext: "weaknext",
-    Eventually: "eventually",
-    Always: "always",
+# Node kinds, leaves first; a node's dispatch code is its kind's index here.
+KINDS = ("atom", "negatom", "true", "or", "and", "next", "weaknext", "eventually", "always", "until")
+K_ATOM, K_NEGATOM, K_TRUE, K_OR, K_AND, K_NEXT, K_WEAKNEXT, K_EVENTUALLY, K_ALWAYS, K_UNTIL = range(len(KINDS))
+_CODE_OF = {
+    TrueConst: K_TRUE,
+    Atom: K_ATOM,
+    NegAtom: K_NEGATOM,
+    Or: K_OR,
+    And: K_AND,
+    Until: K_UNTIL,
+    Next: K_NEXT,
+    WeakNext: K_WEAKNEXT,
+    Eventually: K_EVENTUALLY,
+    Always: K_ALWAYS,
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleName:
     fid: int
     mode: EvalMode = EvalMode.PLAIN
@@ -126,9 +130,10 @@ class ReactivationRule:
         return lhs + " -> " + ", ".join(r.render(index) for r in self.consequents)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeInfo:
     kind: str
+    code: int  # dispatch code, the index of `kind` in KINDS
     atom: str | None = None
     left: int | None = None
     right: int | None = None
@@ -173,14 +178,15 @@ def _merge(*name_groups: tuple[RuleName, ...]) -> tuple[RuleName, ...]:
 
 
 def _node_info(f: Formula, index: SubformulaIndex) -> NodeInfo:
-    kind = _KIND_OF[type(f)]
+    code = _CODE_OF[type(f)]
+    kind = KINDS[code]
     if isinstance(f, (Atom, NegAtom)):
-        return NodeInfo(kind, atom=f.name)
+        return NodeInfo(kind, code, atom=f.name)
     if isinstance(f, (Or, And, Until)):
-        return NodeInfo(kind, left=index.id_of(f.left), right=index.id_of(f.right))
+        return NodeInfo(kind, code, left=index.id_of(f.left), right=index.id_of(f.right))
     if isinstance(f, (Next, WeakNext, Eventually, Always)):
-        return NodeInfo(kind, left=index.id_of(f.sub))
-    return NodeInfo(kind)
+        return NodeInfo(kind, code, left=index.id_of(f.sub))
+    return NodeInfo(kind, code)
 
 
 def _binary_rules(op: str, fid: int, left: int, right: int) -> list[EvaluationRule]:

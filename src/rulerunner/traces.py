@@ -32,12 +32,6 @@ class Trace:
     def __getitem__(self, i: int) -> frozenset[str]:
         return self.cells[i]
 
-    def atoms(self) -> set[str]:
-        out: set[str] = set()
-        for cell in self.cells:
-            out |= cell
-        return out
-
 
 def _check_atom(name: str, where: str) -> str:
     if name == "END":

@@ -36,9 +36,6 @@ class TruthValue:
     def is_false(self) -> bool:
         return self.kind == "F"
 
-    def is_decided(self) -> bool:
-        return self.kind != "?"
-
     def __str__(self) -> str:
         if self.kind == "?":
             return "?" + self.mode.value

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +108,20 @@ class TestStream:
         assert code == 0
         assert capsys.readouterr().out.splitlines() == ["?", "?", "SUCCESS"]
 
+    def test_line_holding_several_cells_is_skipped(self, capsys, monkeypatch):
+        # a stream line is exactly one cell; `a - b` is not monitored as {a}
+        code = run_cli("stream", "F b", stdin="a - b\n$end\n", monkeypatch=monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.splitlines() == ["FAILURE"]
+        assert "skipped" in captured.err
+
+    @pytest.mark.parametrize("formula, verdict, exit_code", [("G a", "FAILURE", 1), ("W a", "SUCCESS", 0)])
+    def test_empty_input_is_one_empty_cell(self, capsys, monkeypatch, formula, verdict, exit_code):
+        code = run_cli("stream", formula, stdin="", monkeypatch=monkeypatch)
+        assert code == exit_code
+        assert capsys.readouterr().out.splitlines() == [verdict]
+
 
 class TestGen:
     def test_deterministic(self, capsys):
@@ -197,3 +215,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["run", "a"])
         assert err.value.code == 2
+
+
+class TestModuleEntry:
+    def test_python_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rulerunner", "run", "a", "--trace", "[a]"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "SUCCESS at cell 0"
