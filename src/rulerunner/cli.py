@@ -144,6 +144,15 @@ def _formula_space_size(max_depth: int, atoms: int) -> int:
 
 
 def cmd_diff(args) -> int:
+    for flag, value, least in (
+        ("--max-depth", args.max_depth, 0),
+        ("--traces", args.traces, 1),
+        ("--max-length", args.max_length, 1),
+        ("--limit", args.limit, 1),
+    ):
+        if value is not None and value < least:
+            print(f"invalid diff parameters: {flag} must be >= {least}", file=sys.stderr)
+            return EXIT_USAGE
     atoms = tuple(a.strip() for a in args.atoms.split(",") if a.strip())
     space = _formula_space_size(args.max_depth, len(atoms))
     if space > 200_000:
@@ -229,3 +238,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -6,11 +6,12 @@ subformula by activating the rule names of its initial set, and passes the
 node's `kind` to `truth.eval_binary`/`eval_unary`.  It reads no other copy
 of the formula and never the rule listing.
 
-Each activation is an instance of one subformula that holds its operand
-instances by reference: an and/or its two operands, a next or weak next
-the operand instance it spawned for the following cell, an eventually or
-always the operand instances it still waits on, and an until the pending
-operand instances of every cell that can still witness it (`UntilLedger`).
+Each activation is an instance of one subformula that holds the operand
+instances it reads, by reference, in one list: an and/or the operands its
+mode reads, a next or weak next the operand instance it spawned for the
+following cell, an eventually or always the operand instances it still
+waits on, and an until the operand pair of every cell that can still
+witness it, a resolved operand replaced by a shared settled stand-in.
 An instance's epoch names the oldest spawn cell of the class of equivalent
 instances it stands for; instances of one subformula are listed, fired
 and rendered in epoch order, and tagged ``@epoch`` when several are live.
@@ -20,15 +21,15 @@ compiled (post-order) order.  Observations are added and truth values are
 computed bottom-up.  Instances that resolved, and instances no live parent
 holds any more, are dropped, parents first, so an instance nobody reads
 is never stepped again.  Undecided instances reactivate for the next
-cell, spawning fresh operand instances.  Last, instances of one
-subformula whose futures are identical -- same mode and the same operand
-instances or ledger entries -- are folded into the oldest one, so
-`explain` and `StepOutcome.to_dict()` show one row per class.  With
-operand instances folded bottom-up, the live state is bounded by the
-formula alone, whatever the trace length; for formulae whose temporal
-operators have purely propositional operands at most one instance per
-subformula is ever live and the flat rule-set behaviour is recovered
-exactly.
+cell, spawning fresh operand instances, except an until that no later
+cell can witness (mode L or R).  Last, instances of one subformula whose
+futures are identical -- same mode and the same operand list -- are
+folded into the oldest one, so `explain` and `StepOutcome.to_dict()` show
+one row per class.  With operand instances folded bottom-up, the live
+state is bounded by the formula alone, whatever the trace length; for
+formulae whose temporal operators have purely propositional operands at
+most one instance per subformula is ever live and the flat rule-set
+behaviour is recovered exactly.
 """
 
 from __future__ import annotations
@@ -63,16 +64,17 @@ class _Instance:
     """One live activation of a subformula.
 
     `epoch` is the oldest spawn cell of the equivalent instances it stands
-    for.  Operands are held by reference: `left`/`right` for and/or,
-    `left` for a next/weak next once it mirrors (mode M), `watch` (the
-    pending operand instances) for eventually/always and `ledger` for
-    until.  `refs` counts those references held on this instance by live
+    for.  `ops` holds, by reference, the operand instances it reads: for an
+    and/or, the operands its mode reads; for a next or weak next, nothing
+    until it mirrors (mode M) and then its operand; for an eventually or
+    always, the operand instances it still waits on; for an until, the
+    (operand one, operand two) pair of every cell that can still witness
+    it, flattened, oldest first, with `_T`/`_F` in place of an operand that
+    resolved.  `refs` counts the references held on this instance by live
     parents, plus the monitor's on the root; `forward` names the survivor
     once this instance has been folded into an equivalent one."""
 
-    __slots__ = (
-        "epoch", "code", "mode", "value", "resolved", "refs", "left", "right", "watch", "ledger", "forward"
-    )
+    __slots__ = ("epoch", "code", "mode", "value", "resolved", "refs", "ops", "forward")
 
     def __init__(self, epoch: int, code: int, mode: EvalMode):
         self.epoch = epoch
@@ -81,146 +83,93 @@ class _Instance:
         self.value: TruthValue | None = None
         self.resolved = False
         self.refs = 0
-        self.left: _Instance | None = None
-        self.right: _Instance | None = None
-        self.watch: list[_Instance] | None = None
-        self.ledger: UntilLedger | None = None
+        self.ops: list[_Instance] | tuple = ()
         self.forward: _Instance | None = None
 
     def key(self):
         """Equal keys among instances of one subformula mean identical
-        futures: the same mode reading the same operand instances.  Leaves
-        never have two live instances, as each resolves in its spawn cell."""
-        code, mode = self.code, self.mode
-        if code == K_OR or code == K_AND:
-            if mode is _L:
-                return mode, self.left
-            if mode is _R:
-                return mode, self.right
-            return mode, self.left, self.right
-        if code == K_NEXT or code == K_WEAKNEXT:
-            return mode, self.left
-        if code == K_UNTIL:
-            return mode, tuple(self.ledger.entries)
-        return frozenset(self.watch)
+        futures: the same mode reading the same operand instances (for an
+        eventually or always, the same set of them).  Leaves never have two
+        live instances, as each resolves in its spawn cell."""
+        if self.code == K_EVENTUALLY or self.code == K_ALWAYS:
+            return frozenset(self.ops)
+        return self.mode, tuple(self.ops)
 
     def release(self) -> None:
         """Drop the references this instance holds on its operands."""
-        code = self.code
-        if code <= K_TRUE:
-            return
-        if code == K_OR or code == K_AND:
-            self.left.refs -= 1
-            self.right.refs -= 1
-        elif code == K_NEXT or code == K_WEAKNEXT:
-            if self.left is not None:
-                self.left.refs -= 1
-        elif code == K_UNTIL:
-            _release_entries(self.ledger.entries)
-        else:
-            for sub in self.watch:
-                sub.refs -= 1
+        for sub in self.ops:
+            sub.refs -= 1
 
     def follow(self) -> None:
         """Point references at folded operand instances to their survivors."""
-        code = self.code
-        if code == K_OR or code == K_AND:
-            self.left = self.left.forward or self.left
-            self.right = self.right.forward or self.right
-        elif code == K_NEXT or code == K_WEAKNEXT:
-            if self.left is not None:
-                self.left = self.left.forward or self.left
-        elif code == K_UNTIL:
-            self.ledger.entries = [(_follow(l), _follow(r)) for l, r in self.ledger.entries]
-        else:
-            watch: list[_Instance] = []
-            for sub in self.watch:
-                sub = sub.forward or sub
-                if sub in watch:
-                    sub.refs -= 1
-                else:
-                    watch.append(sub)
-            self.watch = watch
+        self.ops = [sub.forward or sub for sub in self.ops]
 
 
-def _follow(outcome):
-    if outcome is True or outcome is False:
-        return outcome
-    return outcome.forward or outcome
+def _settled(value: TruthValue) -> _Instance:
+    inst = _Instance(-1, K_TRUE, _PLAIN)
+    inst.value = value
+    inst.resolved = True
+    return inst
 
 
-def _release_entries(entries) -> None:
-    for left, right in entries:
-        if left is not True and left is not False:
-            left.refs -= 1
-        if right is not True and right is not False:
-            right.refs -= 1
+# Shared stand-ins for an until operand that resolved; their `refs` is never read.
+_T = _settled(TRUE)
+_F = _settled(FALSE)
 
 
-class UntilLedger:
-    """The cells that can still witness one until instance, oldest first:
-    for each, the outcome of the operand instances spawned there, as the
-    pending instance or True/False once it resolved.  The ledger holds a
-    reference on every pending instance.  When the until is decided, an
-    entry is deleted once it can no longer change the outcome: a settled
-    cell (operand one true, operand two false), a repeat of an earlier
-    entry (which can witness only where the earlier one already does), and
-    every cell after the first whose operand one failed."""
+def _decide_until(inst: _Instance, at_end: bool) -> TruthValue:
+    """The until's value this cell, from its operands' values this cell.
 
-    __slots__ = ("entries",)
-
-    def __init__(self) -> None:
-        self.entries: list[tuple] = []
-
-    def add(self, left: _Instance, right: _Instance) -> None:
-        left.refs += 1
-        right.refs += 1
-        self.entries.append((left, right))
-
-    def decide(self, at_end: bool) -> TruthValue:
-        """The until's value this cell, from its operands' values this cell;
-        deletes the entries that can no longer change it."""
-        kept: list[tuple] = []
-        dropped: list[tuple] = []
-        chain_broken = False
-        chain_pending = False
-        live = False
-        blocked_witness = False
-        for left, right in self.entries:
-            if left is not True and left is not False and left.resolved:
-                left = left.value.kind == "T"
-            if right is not True and right is not False and right.resolved:
-                right = right.value.kind == "T"
-            entry = (left, right)
-            if chain_broken or (left is True and right is False) or entry in kept:
-                dropped.append(entry)
-                continue
-            kept.append(entry)
-            if right is True:
-                if not chain_pending:
-                    return TRUE  # confirmed witness with a fully true chain
-                blocked_witness = True
-                live = True
-            elif right is not False:
-                live = True
-            if left is False:
-                chain_broken = True
-            elif left is not True:
-                chain_pending = True
-        # the last entry read is the current cell's
-        current_open = right is False and left is not True and left is not False
-        self.entries = kept
-        if dropped:
-            _release_entries(dropped)
-        if not live and (at_end or chain_broken):
-            return FALSE
-        if blocked_witness:
-            return truth.UND_L
-        if chain_broken:
-            return truth.UND_R
-        if current_open:
-            return truth.UND_B
-        return truth.UND_A
+    Deletes the entries of `inst.ops` that can no longer change it: a
+    settled cell (operand one true, operand two false), a repeat of an
+    earlier entry (which can witness only where the earlier one already
+    does), and every cell after the first whose operand one failed."""
+    pairs = iter(inst.ops)
+    kept: list[_Instance] = []
+    entries: list[tuple[_Instance, _Instance]] = []
+    dropped: list[_Instance] = []
+    chain_broken = False
+    chain_pending = False
+    live = False
+    blocked_witness = False
+    for left, right in zip(pairs, pairs):
+        if left.resolved:
+            left = _T if left.value.kind == "T" else _F
+        if right.resolved:
+            right = _T if right.value.kind == "T" else _F
+        entry = (left, right)
+        if chain_broken or (left is _T and right is _F) or entry in entries:
+            dropped += entry
+            continue
+        entries.append(entry)
+        kept += entry
+        if right is _T:
+            if not chain_pending:
+                # confirmed witness with a fully true chain; `ops` stays
+                # whole, so pruning the until releases every reference
+                return TRUE
+            blocked_witness = True
+            live = True
+        elif right is not _F:
+            live = True
+        if left is _F:
+            chain_broken = True
+        elif left is not _T:
+            chain_pending = True
+    # in modes A and B the last entry read is the current cell's
+    current_open = right is _F and not left.resolved
+    inst.ops = kept
+    for sub in dropped:
+        sub.refs -= 1
+    if not live and (at_end or chain_broken):
+        return FALSE
+    if blocked_witness:
+        return truth.UND_L
+    if chain_broken:
+        return truth.UND_R
+    if current_open:
+        return truth.UND_B
+    return truth.UND_A
 
 
 @dataclass(frozen=True)
@@ -311,20 +260,13 @@ class Monitor:
                 self._crowded = True
             sub = nodes[sub_fid]
             code = sub.code
-            inst = _Instance(epoch, code, name.mode)
-            if code == K_OR or code == K_AND:
-                inst.left = live[sub.left][epoch]
-                inst.right = live[sub.right][epoch]
-                inst.left.refs += 1
-                inst.right.refs += 1
-            elif code == K_UNTIL:
-                inst.ledger = UntilLedger()
-                inst.ledger.add(live[sub.left][epoch], live[sub.right][epoch])
-            elif code == K_EVENTUALLY or code == K_ALWAYS:
-                operand = live[sub.left][epoch]
-                operand.refs += 1
-                inst.watch = [operand]
-            insts[epoch] = inst
+            inst = insts[epoch] = _Instance(epoch, code, name.mode)
+            if code >= K_OR and code != K_NEXT and code != K_WEAKNEXT:  # a next reads from the next cell on
+                ops = inst.ops = [live[sub.left][epoch]]
+                if sub.right is not None:
+                    ops.append(live[sub.right][epoch])
+                for op in ops:
+                    op.refs += 1
         return live[fid][epoch]
 
     def step(self, observations, is_last: bool = False) -> StepOutcome:
@@ -396,17 +338,20 @@ class Monitor:
     def _evaluate(node: NodeInfo, inst: _Instance, at_end: bool) -> TruthValue:
         """Value of a non-leaf instance from its operands' values this cell."""
         code = node.code
+        ops = inst.ops
         if code == K_OR or code == K_AND:
             mode = inst.mode
-            left = inst.left.value if mode is not _R else None
-            right = inst.right.value if mode is not _L else None
-            return truth.eval_binary(node.kind, mode, left, right)
+            if mode is _L:
+                return truth.eval_binary(node.kind, mode, ops[0].value, None)
+            if mode is _R:
+                return truth.eval_binary(node.kind, mode, None, ops[0].value)
+            return truth.eval_binary(node.kind, mode, ops[0].value, ops[1].value)
         if code == K_UNTIL:
-            return inst.ledger.decide(at_end)
+            return _decide_until(inst, at_end)
         if code == K_NEXT or code == K_WEAKNEXT:
             if inst.mode is _PLAIN:
                 return truth.eval_unary(node.kind, _PLAIN, UND, at_end)
-            return truth.eval_unary(node.kind, _M, inst.left.value, at_end)
+            return truth.eval_unary(node.kind, _M, ops[0].value, at_end)
         return truth.eval_unary(node.kind, _PLAIN, _aggregate(inst, code == K_EVENTUALLY), at_end)
 
     # -- between cells ---------------------------------------------------------
@@ -435,25 +380,34 @@ class Monitor:
             code = node.code
             if code == K_OR or code == K_AND:
                 for inst in insts.values():
-                    inst.mode = inst.value.mode
+                    mode = inst.value.mode
+                    if mode is not inst.mode:  # to L or R: stop reading the decided operand
+                        inst.mode = mode
+                        inst.ops.pop(1 if mode is _L else 0).refs -= 1
             elif code == K_UNTIL:
                 left, right = node.left, node.right
                 for inst in insts.values():
-                    inst.mode = inst.value.mode
-                    inst.ledger.add(spawn(left, nxt), spawn(right, nxt))
+                    mode = inst.mode = inst.value.mode
+                    if mode is not _L and mode is not _R:  # in L and R no later cell can witness it
+                        sub_l = spawn(left, nxt)
+                        sub_r = spawn(right, nxt)
+                        sub_l.refs += 1
+                        sub_r.refs += 1
+                        inst.ops += (sub_l, sub_r)
             elif code == K_EVENTUALLY or code == K_ALWAYS:
                 operand = node.left
                 for inst in insts.values():
                     sub = spawn(operand, nxt)
                     sub.refs += 1
-                    inst.watch.append(sub)
+                    inst.ops.append(sub)
             elif code == K_NEXT or code == K_WEAKNEXT:  # leaves never outlive their cell
                 operand = node.left
                 for inst in insts.values():
                     if inst.mode is _PLAIN:
                         inst.mode = _M
-                        inst.left = spawn(operand, nxt)
-                        inst.left.refs += 1
+                        sub = spawn(operand, nxt)
+                        sub.refs += 1
+                        inst.ops = [sub]
 
     def _merge(self) -> tuple[tuple[int, int], ...]:
         """Fold instances of one subformula with equal keys into the oldest,
@@ -487,12 +441,15 @@ def _aggregate(inst: _Instance, want: bool) -> TruthValue:
     the operand instances it waits on: one resolved witness decides,
     otherwise undecided while anything is pending."""
     pending: list[_Instance] = []
-    for sub in inst.watch:
+    for sub in inst.ops:
         if not sub.resolved:
-            pending.append(sub)
+            if sub in pending:  # two operands folded into one
+                sub.refs -= 1
+            else:
+                pending.append(sub)
         elif (sub.value.kind == "T") is want:
             return TRUE if want else FALSE
-    inst.watch = pending
+    inst.ops = pending
     if pending:
         return UND
     return FALSE if want else TRUE

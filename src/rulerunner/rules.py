@@ -16,9 +16,11 @@ the next cell; the root additionally gains the two terminal rules.  The
 listing renders what the engine computes and is not executed.  For until in
 particular, the mode-A and mode-B rules (`truth.UNTIL_A`, `truth.UNTIL_B`)
 render the operator's table over the current operand values, while the
-engine decides an until from a per-instance ledger of operand outcomes at
-every cell that can still witness it (`engine.UntilLedger`), which refines
-them.
+engine decides an until from the operand outcomes it keeps for every cell
+that can still witness it (`engine._decide_until`), which refines them.
+In modes L (a witness waits on a pending chain) and R (the chain broke) no
+later cell can witness an until, so its reactivation there spawns no
+operand.
 """
 
 from __future__ import annotations
@@ -276,8 +278,11 @@ def _build_listing(sys: RuleSystem) -> tuple[tuple[EvaluationRule, ...], tuple[R
         elif node.kind == "until":
             eval_rules.extend(_binary_rules(node.kind, fid, node.left, node.right))
             respawn = _merge(init_sets[node.left], init_sets[node.right])
-            for und in (UND_A, UND_B, UND_L, UND_R):
+            for und in (UND_A, UND_B):
                 react_rules.append(ReactivationRule(fid, und, _merge(respawn, (RuleName(fid, und.mode),))))
+            # in modes L and R no later cell can witness the until, so nothing is respawned
+            for und in (UND_L, UND_R):
+                react_rules.append(ReactivationRule(fid, und, (RuleName(fid, und.mode),)))
         elif node.kind in ("eventually", "always"):
             eval_rules.extend(_unary_rules(node.kind, fid, node.left))
             react_rules.append(ReactivationRule(fid, UND, init_sets[fid]))

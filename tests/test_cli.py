@@ -181,6 +181,15 @@ class TestDiff:
         assert code == 0
         assert "mismatches: 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-depth", "-1"), ("--traces", "0"), ("--max-length", "0"), ("--limit", "0")]
+    )
+    def test_out_of_range_arguments_rejected(self, capsys, flag, value):
+        assert main(["diff", "--max-depth", "1", "--traces", "3", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "comparisons" not in captured.out
+
     def test_corrupted_table_is_caught(self, capsys, monkeypatch):
         """Fault injection: poisoning one disjunction cell must surface as
         mismatches and exit code 3."""
@@ -218,11 +227,12 @@ class TestUsageErrors:
 
 
 class TestModuleEntry:
-    def test_python_m_runs_the_cli(self):
+    @pytest.mark.parametrize("module", ["rulerunner", "rulerunner.cli"])
+    def test_python_m_runs_the_cli(self, module):
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run(
-            [sys.executable, "-m", "rulerunner", "run", "a", "--trace", "[a]"],
+            [sys.executable, "-m", module, "run", "a", "--trace", "[a]"],
             capture_output=True,
             text=True,
             env=env,

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import pytest
 
 from rulerunner import (
+    EvalMode,
     Monitor,
     MonitorError,
     RuleName,
@@ -206,6 +208,17 @@ class TestExplain:
             assert [epoch for fid, epoch, _ in outcome.state_after if fid == eventually] == [0]
         assert "@" not in explain(outcomes)
 
+    def test_until_with_broken_chain_spawns_no_operands(self):
+        # a fails at cell 0, so no later cell can witness a U (F b): the
+        # until stays in mode R and a is not spawned again
+        result = run("a U (F b)", "[. - . - . - b]")
+        assert result.verdict is Verdict.SUCCESS
+        outcomes = result.outcomes
+        assert outcomes[0].state_after[-1][2] is EvalMode.R
+        assert "R[a]" in outcomes[0].rows()
+        for outcome in outcomes[1:]:
+            assert "R[a]" not in outcome.rows()
+
     def test_empty_cell_row(self):
         result = run("a", "[.]")
         rows = result.outcomes[0].rows()
@@ -273,6 +286,33 @@ class TestInvariants:
                         assert len(fids) == len(set(fids))
                     if outcome.verdict is not Verdict.UNDECIDED:
                         break
+
+    def test_reference_counts_match_holders(self):
+        """After every step, a live instance's `refs` is the number of
+        references to it in live instances' operand lists, plus the
+        monitor's one on the root."""
+        rng = random.Random(6170)
+        checks = 0
+        kinds = set()
+        for k in range(300):
+            system = compile_formula(random_formula(3 + k % 2, ["a", "b"], rng))
+            for _ in range(4):
+                monitor = Monitor(system)
+                density = rng.choice((0.05, 0.3, 0.7))
+                for _ in range(rng.randint(10, 60)):
+                    monitor.step(frozenset(x for x in ("a", "b") if rng.random() < density))
+                    if monitor.finished:
+                        break
+                    live = [(fid, inst) for fid, insts in enumerate(monitor._live) for inst in insts.values()]
+                    held = collections.Counter(id(sub) for _, inst in live for sub in inst.ops)
+                    held[id(monitor._root)] += 1
+                    for fid, inst in live:
+                        assert inst.refs == held[id(inst)], (system.formula_text(fid), inst.refs, held[id(inst)])
+                        if inst.ops:
+                            kinds.add(system.nodes[fid].kind)
+                        checks += 1
+        assert {"eventually", "always", "until"} <= kinds
+        assert checks > 30_000
 
     def test_early_verdict_is_stable_under_extension(self):
         rng = random.Random(101)

@@ -214,8 +214,8 @@ class TestBaseCases:
         assert [r.render(system.index) for r in system.react_rules] == [
             "[a U b]?A -> R[a], R[b], R[a U b]A",
             "[a U b]?B -> R[a], R[b], R[a U b]B",
-            "[a U b]?L -> R[a], R[b], R[a U b]L",
-            "[a U b]?R -> R[a], R[b], R[a U b]R",
+            "[a U b]?L -> R[a U b]L",
+            "[a U b]?R -> R[a U b]R",
         ]
         assert [r.render(system.index) for r in system.initial] == ["R[a]", "R[b]", "R[a U b]A"]
 
