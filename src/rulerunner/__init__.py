@@ -32,7 +32,7 @@ from .ltl import (
     parse_formula,
     to_nnf,
 )
-from .mapcheck import CheckReport, UnsupportedFormulaError, check_run, map_state
+from .mapcheck import CheckReport, check_run, map_state
 from .oracle import (
     Judgement,
     enumerate_formulas,
@@ -91,7 +91,6 @@ __all__ = [
     "TraceError",
     "TrueConst",
     "TruthValue",
-    "UnsupportedFormulaError",
     "Until",
     "Verdict",
     "WeakNext",

@@ -19,6 +19,7 @@ from .traces import (
     GenParams,
     Trace,
     TraceError,
+    _check_atom,
     _parse_cell,
     format_trace_file,
     format_trace_inline,
@@ -41,6 +42,15 @@ def _load_trace(args) -> Trace:
     if args.trace is not None:
         return parse_trace_inline(args.trace)
     return read_trace_file(args.trace_file)
+
+
+def _parse_atoms(text: str) -> tuple[str, ...]:
+    """The comma-separated `--atoms` alphabet: nonempty, each name a valid
+    observation name."""
+    atoms = tuple(_check_atom(a.strip(), "alphabet") for a in text.split(",") if a.strip())
+    if not atoms:
+        raise TraceError("alphabet: no atom names given")
+    return atoms
 
 
 def cmd_compile(args) -> int:
@@ -93,7 +103,7 @@ def cmd_stream(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    atoms = tuple(a.strip() for a in args.atoms.split(",") if a.strip())
+    atoms = _parse_atoms(args.atoms)
     try:
         params = GenParams(atoms=atoms, length=args.length, density=args.density, seed=args.seed, count=args.count)
     except ValueError as exc:
@@ -153,7 +163,7 @@ def cmd_diff(args) -> int:
         if value is not None and value < least:
             print(f"invalid diff parameters: {flag} must be >= {least}", file=sys.stderr)
             return EXIT_USAGE
-    atoms = tuple(a.strip() for a in args.atoms.split(",") if a.strip())
+    atoms = _parse_atoms(args.atoms)
     space = _formula_space_size(args.max_depth, len(atoms))
     if space > 200_000:
         # full enumeration is out of reach; fall back to seeded sampling

@@ -244,6 +244,17 @@ class Monitor:
     def live_count(self) -> int:
         return sum(len(insts) for insts in self._live)
 
+    def instances(self) -> tuple[tuple[int, int, EvalMode, tuple], ...]:
+        """Read-only view of the live instance graph between cells: one
+        (fid, epoch, mode, ops) per live instance, in `active()` order, each
+        operand named by its (fid, epoch), or by its `TruthValue` if it is
+        a settled stand-in."""
+        names = {inst: (fid, epoch) for fid, insts in enumerate(self._live) for epoch, inst in insts.items()}
+        return tuple(
+            (fid, epoch, inst.mode, tuple(sub.value if sub is _T or sub is _F else names[sub] for sub in inst.ops))
+            for inst, (fid, epoch) in names.items()
+        )
+
     # -- lifecycle ----------------------------------------------------------
 
     def _spawn(self, fid: int, epoch: int) -> _Instance:
@@ -482,34 +493,29 @@ def _tagged_fids(entries) -> set[int]:
     return {fid for fid, epochs in epochs_by_fid.items() if len(epochs) > 1}
 
 
-def _rule_row(system: RuleSystem, entries) -> str:
+def _tokens(entries, render) -> list[str]:
     # a formula gets @epoch tags only in rows holding several of its instances
     tagged = _tagged_fids(entries)
-    tokens = []
-    for fid, epoch, mode in entries:
-        tok = RuleName(fid, mode).render(system.index)
-        tokens.append(f"{tok}@{epoch}" if fid in tagged else tok)
-    return ", ".join(tokens)
+    return [f"{render(fid, x)}@{epoch}" if fid in tagged else render(fid, x) for fid, epoch, x in entries]
 
 
-def _eval_row(system: RuleSystem, entries) -> str:
-    tagged = _tagged_fids(entries)
-    tokens = []
-    for fid, epoch, value in entries:
-        tok = f"[{system.formula_text(fid)}]{value}"
-        tokens.append(f"{tok}@{epoch}" if fid in tagged else tok)
-    return ", ".join(tokens)
+def _rule_tokens(system: RuleSystem, entries) -> list[str]:
+    return _tokens(entries, lambda fid, mode: RuleName(fid, mode).render(system.index))
+
+
+def _eval_tokens(system: RuleSystem, entries) -> list[str]:
+    return _tokens(entries, lambda fid, value: f"[{system.formula_text(fid)}]{value}")
 
 
 def _render_block(outcome: StepOutcome) -> str:
     system = outcome.system
-    state = _rule_row(system, outcome.state_before)
+    state = ", ".join(_rule_tokens(system, outcome.state_before))
     obs_row = state + ("".join(", " + a for a in outcome.observations))
-    eval_row = _eval_row(system, outcome.evaluations)
+    eval_row = ", ".join(_eval_tokens(system, outcome.evaluations))
     lines = [f"state : {state}", f"+ obs : {obs_row}"]
     if outcome.verdict is Verdict.UNDECIDED:
         lines.append(f"eval  : {eval_row}")
-        lines.append(f"react : {_rule_row(system, outcome.state_after)}")
+        lines.append(f"react : {', '.join(_rule_tokens(system, outcome.state_after))}")
     else:
         lines.append(f"eval  : {eval_row}, {outcome.verdict}")
         stopped = "PROPERTY SATISFIED" if outcome.verdict is Verdict.SUCCESS else "PROPERTY FALSIFIED"

@@ -1,60 +1,37 @@
 """Translate monitor states into finite-trace judgements and check that the
 judgement value is invariant along a run and equal to the final verdict.
 
-The translation covers the core grammar only (no eventually/always, which
-are derived operators).  Runs in which several epochs of one subformula are
-live at once fall outside the flat-state reading, and so do runs in which
-the monitor folded equivalent instances of one subformula into one (the
-survivor then stands for obligations spawned at several cells); both are
-reported as skipped from the first such step.
+A state is the monitor's live instance graph before a cell
+(`Monitor.instances()`) plus the truth values the cell has computed so far.
+Each instance maps to a judgement at the current cell by one rule per
+operator kind, reading its operand instances: a formula progression in the
+sense of Roşu and Havelund, with the unfoldings ``F g ≡ g ∨ X F g`` and
+``G g ≡ g ∧ W G g``.  The mapping covers the whole grammar, including runs
+with several live epochs of one subformula and runs in which instances were
+folded, so every step of every run is checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .engine import RunResult, StepOutcome, Verdict, run_trace
-from .ltl import (
-    Always,
-    And,
-    Eventually,
-    Formula,
-    Next,
-    NnfError,
-    Not,
-    Or,
-    Until,
-    WeakNext,
-    format_formula,
-    is_nnf,
-)
+from .engine import Monitor, Verdict, _eval_tokens, _rule_tokens
+from .ltl import Formula, Next, NnfError, WeakNext, format_formula, is_nnf
 from .oracle import BOTTOM, TOP, JAnd, JLeaf, JOr, Judgement, eval_judgement
-from .rules import RuleName, RuleSystem, compile_formula
+from .rules import RuleSystem, compile_formula
 from .traces import Trace, format_trace_inline
 from .truth import EvalMode, TruthValue
 
 
-class UnsupportedFormulaError(ValueError):
-    """Raised when a formula contains the derived operators F/G."""
-
-
-def _reject_derived(f: Formula) -> None:
-    if isinstance(f, (Eventually, Always)):
-        raise UnsupportedFormulaError("state mapping does not cover the derived operators F and G")
-    if isinstance(f, (Or, And, Until)):
-        _reject_derived(f.left)
-        _reject_derived(f.right)
-    elif isinstance(f, (Next, WeakNext, Not)):
-        _reject_derived(f.sub)
-
-
 @dataclass(frozen=True)
 class CheckState:
-    """One intermediate monitor state, flattened to one instance per formula."""
+    """One intermediate monitor state: the live instance graph before cell
+    `index` and the cell's evaluations made so far, in firing order."""
 
     index: int
-    active: dict[int, EvalMode]
-    values: dict[int, TruthValue]
+    graph: tuple[tuple[int, int, EvalMode, tuple], ...]
+    evaluations: tuple[tuple[int, int, TruthValue], ...]
     tokens: tuple[str, ...]
     terminal: Verdict | None = None
 
@@ -65,44 +42,51 @@ class CheckState:
 
 
 def map_state(system: RuleSystem, state: CheckState) -> Judgement:
-    """The judgement a monitor state stands for, read off bottom-up from the
-    recorded truth values and activation modes."""
+    """The judgement a monitor state stands for, read off the root instance
+    through the operand instances each live instance holds."""
     if state.terminal is not None:
         return TOP if state.terminal is Verdict.SUCCESS else BOTTOM
+    n = state.index
+    graph = {(fid, epoch): (mode, ops) for fid, epoch, mode, ops in state.graph}
+    values = {(fid, epoch): value for fid, epoch, value in state.evaluations}
 
-    def mapf(fid: int) -> Judgement:
-        node = system.nodes[fid]
-        value = state.values.get(fid)
-        if value is not None and value.kind == "T":
-            return TOP
-        if value is not None and value.kind == "F":
-            return BOTTOM
-        kind = node.kind
+    def mapx(x) -> Judgement:
+        value = x if isinstance(x, TruthValue) else values.get(x)
+        if value is not None and value.kind != "?":
+            return TOP if value.kind == "T" else BOTTOM
+        fid = x[0]
+        mode, ops = graph[x]
+        kind = system.nodes[fid].kind
         formula = system.index.formulas[fid]
-        if kind in ("true", "atom", "negatom"):
-            return JLeaf(formula, state.index)
         if kind in ("next", "weaknext"):
             # mirroring is a property of the activation, not of the ?M value
-            if state.active.get(fid) is EvalMode.M:
-                return mapf(node.left)
-            return JLeaf(formula, state.index)
-        if kind in ("eventually", "always"):
-            raise UnsupportedFormulaError("state mapping does not cover the derived operators F and G")
-        aux = value.mode if value is not None else state.active.get(fid, EvalMode.B if kind != "until" else EvalMode.A)
-        if aux is EvalMode.L:
-            return mapf(node.left)
-        if aux is EvalMode.R:
-            return mapf(node.right)
-        if kind == "or":
-            return JOr(mapf(node.left), mapf(node.right))
-        if kind == "and":
-            return JAnd(mapf(node.left), mapf(node.right))
-        unfold_next = JLeaf(Next(formula), state.index)
-        if aux is EvalMode.B:
-            return JAnd(mapf(node.left), unfold_next)
-        return JOr(mapf(node.right), JAnd(mapf(node.left), unfold_next))
+            return mapx(ops[0]) if mode is EvalMode.M else JLeaf(formula, n)
+        if kind in ("true", "atom", "negatom"):
+            return JLeaf(formula, n)
+        subs = [mapx(op) for op in ops]
+        if kind == "eventually":
+            return reduce(JOr, subs + [JLeaf(Next(formula), n)])
+        if kind == "always":
+            return reduce(JAnd, subs + [JLeaf(WeakNext(formula), n)])
+        if value is not None:
+            mode = value.mode
+        if kind != "until":
+            if mode is EvalMode.L:
+                return subs[0]
+            if mode is EvalMode.R:
+                return subs[-1]
+            return JOr(subs[0], subs[1]) if kind == "or" else JAnd(subs[0], subs[1])
+        # until over its (operand one, operand two) pairs, oldest first: a
+        # witness at pair j needs operand one at every earlier pair, and the
+        # unfolding term stands for witnesses after this cell
+        terms = [reduce(JAnd, [r] + subs[0 : 2 * j : 2]) for j, r in enumerate(subs[1::2])]
+        if value is not None and mode is EvalMode.B:  # operand two failed this cell
+            terms.pop()
+        if mode is not EvalMode.L and mode is not EvalMode.R:  # else no later cell can witness it
+            terms.append(reduce(JAnd, subs[0::2] + [JLeaf(Next(formula), n)]))
+        return reduce(JOr, terms)
 
-    return mapf(system.root)
+    return mapx(next((fid, epoch) for fid, epoch, _, _ in state.graph if fid == system.root))
 
 
 @dataclass(frozen=True)
@@ -131,69 +115,37 @@ class CheckReport:
         lines = [f"formula {self.formula} over {self.trace}: verdict {self.verdict}"]
         for step in self.steps:
             lines.append(f"  step {step.number} (cell {step.index}): {step.judgement} = {step.value}")
-        if self.skipped_from is not None:
-            lines.append(f"  mapping skipped from step {self.skipped_from}: concurrent instances of one subformula")
         lines.append("  PASS" if self.passed else f"  VIOLATION at step {self.violation_at}")
         return "\n".join(lines)
 
 
-def _micro_states(system: RuleSystem, outcomes: list[StepOutcome]) -> tuple[list[CheckState], int | None]:
-    """Expand run outcomes to the per-addition state granularity: base state,
-    after observations, after each evaluation, then reactivation result or
-    the terminal state.  Returns (states, skipped_from)."""
-    states: list[CheckState] = []
-    skipped_from = None
-
-    def rule_tokens(entries) -> list[str]:
-        return [RuleName(fid, mode).render(system.index) for fid, _, mode in entries]
-
-    def push(index, active, values, tokens, terminal=None) -> bool:
-        states.append(CheckState(index, dict(active), dict(values), tuple(tokens), terminal))
-        return True
-
-    def single_epoch(entries) -> bool:
-        fids = [fid for fid, _, _ in entries]
-        return len(fids) == len(set(fids))
-
-    first = outcomes[0]
-    if not single_epoch(first.state_before):
-        return states, 0
-    base_active = {fid: mode for fid, _, mode in first.state_before}
-    push(0, base_active, {}, rule_tokens(first.state_before))
-
-    for outcome in outcomes:
-        if not single_epoch(outcome.state_before) or not single_epoch(outcome.evaluations):
-            skipped_from = len(states)
-            break
-        cell = outcome.cell
-        active = {fid: mode for fid, _, mode in outcome.state_before}
-        tokens = rule_tokens(outcome.state_before) + list(outcome.observations)
-        values: dict[int, TruthValue] = {}
-        push(cell, active, values, tokens)
-        for fid, _, value in outcome.evaluations:
-            values[fid] = value
-            tokens = tokens + [f"[{system.formula_text(fid)}]{value}"]
-            push(cell, active, values, tokens)
-        if outcome.verdict is not Verdict.UNDECIDED:
-            push(cell, {}, {}, (), terminal=outcome.verdict)
-        else:
-            if outcome.folded or not single_epoch(outcome.state_after):
-                skipped_from = len(states)
-                break
-            push(cell + 1, {fid: mode for fid, _, mode in outcome.state_after}, {}, rule_tokens(outcome.state_after))
-    return states, skipped_from
-
-
 def check_run(f: Formula, u: Trace) -> CheckReport:
     """Run the monitor over the trace, map every intermediate state to a
-    judgement, and require a constant judgement value equal to the verdict."""
+    judgement, and require a constant judgement value equal to the verdict.
+
+    The states are the base state, then per cell the state with the cell's
+    observations added, one state per evaluation, and the reactivated state
+    or, once a verdict is reached, the terminal one."""
     if not is_nnf(f):
         raise NnfError("check_run requires an NNF formula")
-    _reject_derived(f)
     system = compile_formula(f)
-    result: RunResult = run_trace(system, u)
-    states, skipped_from = _micro_states(system, result.outcomes)
-    expected = result.verdict is Verdict.SUCCESS
+    monitor = Monitor(system)
+    graph = monitor.instances()
+    states = [CheckState(0, graph, (), tuple(_rule_tokens(system, monitor.active())))]
+    last = len(u) - 1
+    for i, cell in enumerate(u.cells):
+        outcome = monitor.step(cell, is_last=(i == last))
+        tokens = tuple(_rule_tokens(system, outcome.state_before)) + outcome.observations
+        evaluations = outcome.evaluations
+        eval_tokens = tuple(_eval_tokens(system, evaluations))
+        for k in range(len(evaluations) + 1):
+            states.append(CheckState(i, graph, evaluations[:k], tokens + eval_tokens[:k]))
+        if monitor.finished:
+            states.append(CheckState(i, (), (), (), terminal=monitor.verdict))
+            break
+        graph = monitor.instances()
+        states.append(CheckState(i + 1, graph, (), tuple(_rule_tokens(system, outcome.state_after))))
+    expected = monitor.verdict is Verdict.SUCCESS
 
     steps: list[CheckStep] = []
     violation_at = None
@@ -206,8 +158,10 @@ def check_run(f: Formula, u: Trace) -> CheckReport:
     return CheckReport(
         formula=format_formula(f),
         trace=format_trace_inline(u),
-        verdict=result.verdict,
+        verdict=monitor.verdict,
         steps=steps,
         violation_at=violation_at,
-        skipped_from=skipped_from,
+        # always None, as every run is mapped in full; kept because the bench
+        # harness (bench/workloads.py, bench/tracing.py) and criterion 8 read it
+        skipped_from=None,
     )

@@ -190,6 +190,13 @@ class TestDiff:
         assert flag in captured.err
         assert "comparisons" not in captured.out
 
+    @pytest.mark.parametrize("atoms", ["A,b", ",", "END"])
+    def test_invalid_alphabet_rejected(self, capsys, atoms):
+        assert main(["diff", "--max-depth", "1", "--traces", "2", "--atoms", atoms]) == 2
+        captured = capsys.readouterr()
+        assert "alphabet" in captured.err
+        assert "comparisons" not in captured.out
+
     def test_corrupted_table_is_caught(self, capsys, monkeypatch):
         """Fault injection: poisoning one disjunction cell must surface as
         mismatches and exit code 3."""

@@ -21,6 +21,7 @@ from rulerunner import (
     run_trace,
     to_nnf,
 )
+from rulerunner.truth import FALSE, TRUE
 
 
 def system_for(text: str):
@@ -306,6 +307,11 @@ class TestInvariants:
                     live = [(fid, inst) for fid, insts in enumerate(monitor._live) for inst in insts.values()]
                     held = collections.Counter(id(sub) for _, inst in live for sub in inst.ops)
                     held[id(monitor._root)] += 1
+                    # the read-only view names every operand inside itself or as T/F
+                    view = monitor.instances()
+                    assert [(fid, epoch, mode) for fid, epoch, mode, _ in view] == list(monitor.active())
+                    names = {(fid, epoch) for fid, epoch, _, _ in view}
+                    assert all(op in names or op in (TRUE, FALSE) for _, _, _, ops in view for op in ops)
                     for fid, inst in live:
                         assert inst.refs == held[id(inst)], (system.formula_text(fid), inst.refs, held[id(inst)])
                         if inst.ops:

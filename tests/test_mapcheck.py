@@ -1,20 +1,20 @@
 import random
 
-import pytest
-
 from rulerunner import (
     Trace,
     Verdict,
     check_run,
     compile_formula,
+    explain,
     parse_formula,
     parse_trace_inline,
     random_formula,
     run_trace,
     to_nnf,
+    truth,
 )
 from rulerunner.ltl import And, Next, Or, Until, WeakNext
-from rulerunner.mapcheck import UnsupportedFormulaError
+from rulerunner.truth import TRUE
 
 
 def check(text: str, trace: str):
@@ -91,37 +91,53 @@ class TestSimpleRuns:
         assert text.count("step") == len(report.steps)
 
 
-class TestExclusions:
-    def test_eventually_rejected(self):
-        with pytest.raises(UnsupportedFormulaError):
-            check("F a", "[a]")
-        with pytest.raises(UnsupportedFormulaError):
-            check("a | G b", "[a]")
+def assert_mapped_in_full(report):
+    assert report.skipped_from is None
+    assert report.passed, report.render()
+    assert report.steps[-1].judgement == ("⊤" if report.verdict is Verdict.SUCCESS else "⊥")
 
-    def test_multi_epoch_runs_skipped_not_failed(self):
+
+class TestFullGrammar:
+    """Runs outside a flat one-row-per-subformula reading of the state:
+    eventually/always, several live epochs of one subformula, and folded
+    instances.  Every step of each is mapped and checked."""
+
+    def test_eventually_and_always_mapped(self):
+        report = check("F a", "[a]")
+        assert_mapped_in_full(report)
+        assert report.steps[0].judgement == "[u,0 ⊨ a] ⊔ [u,0 ⊨ X F a]"
+        report = check("a | G b", "[a]")
+        assert_mapped_in_full(report)
+        assert report.steps[0].judgement == "[u,0 ⊨ a] ⊔ [u,0 ⊨ b] ⊓ [u,0 ⊨ W G b]"
+
+    def test_multi_epoch_run_mapped(self):
         # (X a) U b keeps an X a pending across the reactivation that spawns
-        # the next X a: two live instances, outside the flat-state model
+        # the next X a: two live instances of one subformula
         report = check("(X a) U b", "[. - . - a,b]")
-        assert report.skipped_from is not None
-        assert report.passed
+        assert_mapped_in_full(report)
+        assert report.verdict is Verdict.FAILURE
 
-    def test_folded_runs_skipped_not_failed(self):
+    def test_folded_run_mapped(self):
         # the a U b spawned for cell 2 is folded into the one spawned for
-        # cell 1: one live instance, but it stands for the obligations of two
+        # cell 1: one live instance that stands for the obligations of two
         f = to_nnf(parse_formula("W ((a U b) U b)"))
         u = parse_trace_inline("[a - a - a,b - .]")
-        outcomes = run_trace(compile_formula(f), u).outcomes
-        assert any(outcome.folded for outcome in outcomes)
-        for outcome in outcomes:
-            fids = [fid for fid, _, _ in outcome.state_before]
-            assert len(fids) == len(set(fids))
+        assert any(outcome.folded for outcome in run_trace(compile_formula(f), u).outcomes)
         report = check_run(f, u)
-        assert report.skipped_from is not None
-        assert report.passed
+        assert_mapped_in_full(report)
+        assert report.verdict is Verdict.SUCCESS
 
-    def test_steps_before_skip_are_checked(self):
-        report = check("(X a) U b", "[. - . - a,b]")
-        assert len(report.steps) == report.skipped_from
+    def test_multi_epoch_states_render_as_in_explain(self):
+        f = to_nnf(parse_formula("(X a) U b"))
+        u = parse_trace_inline("[. - . - a,b]")
+        report = check_run(f, u)
+        blocks = explain(run_trace(compile_formula(f), u)).split("\n\n")
+        cell_states = {}
+        for step in report.steps:
+            cell_states.setdefault(step.index, step.state)
+        assert [f"state : {state}" for state in cell_states.values()] == [block.splitlines()[0] for block in blocks]
+        assert cell_states == {0: "R[X a], R[b], R[X a U b]A", 1: "R[a], R[X a]M@0, R[X a]@1, R[b], R[X a U b]B"}
+        assert any(step.state.endswith("[X a]F@0, [X a]?M@1") for step in report.steps)
 
 
 class TestRandomRuns:
@@ -152,7 +168,39 @@ class TestRandomRuns:
                 for _ in range(rng.randint(1, 4))
             )
             report = check_run(f, Trace(cells))
-            if report.skipped_from is None:
-                last = report.steps[-1]
-                assert last.state in ("SUCCESS", "FAILURE")
-                assert last.judgement == ("⊤" if report.verdict is Verdict.SUCCESS else "⊥")
+            last = report.steps[-1]
+            assert last.state in ("SUCCESS", "FAILURE")
+            assert last.judgement == ("⊤" if report.verdict is Verdict.SUCCESS else "⊥")
+
+    def test_full_grammar_runs_pass(self):
+        """Seeded random formulae over every operator, with an observation
+        outside the formulae's alphabet: every run is mapped in full, and
+        some hold several live epochs of one subformula."""
+        rng = random.Random(1618)
+        multi_epoch = 0
+        for _ in range(500):
+            f = random_formula(rng.randint(0, 4), ["a", "b"], rng)
+            cells = tuple(
+                frozenset(x for x in ("a", "b", "c") if rng.random() < 0.5)
+                for _ in range(rng.randint(1, 8))
+            )
+            report = check_run(f, Trace(cells))
+            assert_mapped_in_full(report)
+            multi_epoch += any("@" in s.state for s in report.steps)
+        assert multi_epoch >= 50
+
+    def test_wrong_end_rule_is_a_violation(self, monkeypatch):
+        """Fault injection: an eventually that wrongly holds at the end of
+        the trace gives a SUCCESS that the mapped judgements contradict."""
+        original = truth.eval_unary
+
+        def poisoned(op, mode, sub, at_end):
+            if op == "eventually" and at_end and sub.kind != "T":
+                return TRUE
+            return original(op, mode, sub, at_end)
+
+        monkeypatch.setattr(truth, "eval_unary", poisoned)
+        report = check("F a", "[b - b]")
+        assert report.verdict is Verdict.SUCCESS
+        assert not report.passed
+        assert report.violation_at == 0
