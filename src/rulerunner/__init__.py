@@ -9,7 +9,7 @@ mapping checks that every intermediate monitor state denotes the same
 truth value as the verdict eventually reached.
 """
 
-from .engine import Monitor, MonitorError, RunResult, StepOutcome, Verdict, explain, run_trace
+from .engine import CachedMonitor, Monitor, MonitorError, RunResult, StepOutcome, Verdict, explain, run_trace
 from .ltl import (
     Always,
     And,
@@ -66,6 +66,7 @@ __all__ = [
     "Always",
     "And",
     "Atom",
+    "CachedMonitor",
     "CheckReport",
     "EvalMode",
     "EvaluationRule",

@@ -11,7 +11,7 @@ import argparse
 import random
 import sys
 
-from .engine import Monitor, Verdict, explain, run_trace
+from .engine import CachedMonitor, Verdict, explain, run_trace
 from .ltl import Formula, NnfError, ParseError, format_formula, parse_formula, to_nnf
 from .oracle import enumerate_formulas, oracle_eval, random_formula
 from .rules import compile_formula, dump_rules, dump_rules_json
@@ -41,7 +41,12 @@ def _parse_nnf(text: str) -> Formula:
 def _load_trace(args) -> Trace:
     if args.trace is not None:
         return parse_trace_inline(args.trace)
-    return read_trace_file(args.trace_file)
+    try:
+        return read_trace_file(args.trace_file)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise TraceError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{args.trace_file}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _parse_atoms(text: str) -> tuple[str, ...]:
@@ -62,12 +67,15 @@ def cmd_compile(args) -> int:
 def cmd_run(args) -> int:
     system = compile_formula(_parse_nnf(args.formula))
     trace = _load_trace(args)
-    result = run_trace(system, trace)
     if args.explain:
+        result = run_trace(system, trace)
         print(explain(result))
         print()
-    print(f"{result.verdict} at cell {result.deciding_cell}")
-    return EXIT_SUCCESS if result.verdict is Verdict.SUCCESS else EXIT_FAILURE
+        verdict, cell = result.verdict, result.deciding_cell
+    else:
+        verdict, cell = CachedMonitor(system).run(trace.cells)
+    print(f"{verdict} at cell {cell}")
+    return EXIT_SUCCESS if verdict is Verdict.SUCCESS else EXIT_FAILURE
 
 
 def cmd_stream(args) -> int:
@@ -76,11 +84,14 @@ def cmd_stream(args) -> int:
     that the trace is over (an online monitor cannot see the last cell
     coming, so the event source must say so).  EOF counts as `$end`.  A
     trace closed before any cell is monitored as one empty cell, so `G a`
-    fails and `W a` succeeds on empty input."""
-    system = compile_formula(_parse_nnf(args.formula))
-    monitor = Monitor(system)
-    cells: list[frozenset[str]] = []
-    verdict = Verdict.UNDECIDED
+    fails and `W a` succeeds on empty input.
+
+    The monitor walks a `CachedMonitor` and keeps the state before the
+    latest cell, so the end verdict is that state's transition on the
+    latest cell with the end-of-trace marker: one step, no replay."""
+    cache = CachedMonitor(compile_formula(_parse_nnf(args.formula)))
+    state = before = cache.initial
+    cell: frozenset[str] = frozenset()
     for lineno, line in enumerate(sys.stdin, start=1):
         if line.strip() == "$end":
             break
@@ -89,17 +100,14 @@ def cmd_stream(args) -> int:
         except TraceError as exc:
             print(f"skipped malformed cell: {exc}", file=sys.stderr)
             continue
-        cells.append(cell)
-        outcome = monitor.step(cell, is_last=False)
-        verdict = outcome.verdict
-        print(verdict if verdict is not Verdict.UNDECIDED else "?", flush=True)
-        if verdict is not Verdict.UNDECIDED:
-            return EXIT_SUCCESS if verdict is Verdict.SUCCESS else EXIT_FAILURE
-    # end of input: replay with the end-of-trace marker on the final cell
-    final = Trace(tuple(cells) if cells else (frozenset(),))
-    result = run_trace(system, final)
-    print(result.verdict, flush=True)
-    return EXIT_SUCCESS if result.verdict is Verdict.SUCCESS else EXIT_FAILURE
+        before, state = state, cache.next(state, cell)
+        if isinstance(state, Verdict):
+            print(state, flush=True)
+            return EXIT_SUCCESS if state is Verdict.SUCCESS else EXIT_FAILURE
+        print("?", flush=True)
+    verdict = cache.end(before, cell)
+    print(verdict, flush=True)
+    return EXIT_SUCCESS if verdict is Verdict.SUCCESS else EXIT_FAILURE
 
 
 def cmd_gen(args) -> int:
@@ -135,10 +143,10 @@ def run_differential(
     mismatches = []
     comparisons = 0
     for f in formulas:
-        system = compile_formula(f)
+        cache = CachedMonitor(compile_formula(f))
         for u in traces:
             comparisons += 1
-            got = run_trace(system, u).verdict
+            got = cache.run(u.cells)[0]
             want = oracle_eval(f, u, 0)
             if (got is Verdict.SUCCESS) != want:
                 mismatches.append((f, u, got, want))
@@ -236,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NnfError, TraceError, FileNotFoundError) as exc:
+    except (ParseError, NnfError, TraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

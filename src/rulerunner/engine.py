@@ -30,6 +30,14 @@ state is bounded by the formula alone, whatever the trace length; for
 formulae whose temporal operators have purely propositional operands at
 most one instance per subformula is ever live and the flat rule-set
 behaviour is recovered exactly.
+
+`Monitor.step` records each cell (`StepOutcome`, for `explain`, `to_dict`
+and `mapcheck`); `Monitor.advance` runs the same phases and records
+nothing.  `Monitor.clone` copies the live state between cells.  Since the
+live state is bounded and folded, a formula's monitor has few distinct
+states: `CachedMonitor` builds the finite automaton over them lazily, one
+transition per (state, letter) from a clone of the state's representative
+monitor, and steps by table lookup after that, up to `NODE_CAP` states.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ class MonitorError(RuntimeError):
     pass
 
 
+_UNDECIDED = Verdict.UNDECIDED
 _PLAIN, _L, _R, _M = EvalMode.PLAIN, EvalMode.L, EvalMode.R, EvalMode.M
 
 
@@ -228,7 +237,7 @@ class Monitor:
         self._crowded = False  # some subformula may have two live instances
         self._root = self._spawn(system.root, 0)
         self._root.refs += 1
-        self._state = self.active()  # the next cell's state_before
+        self._state: tuple | None = self.active()  # the next cell's state_before, if `step` made this state
 
     # -- state inspection ---------------------------------------------------
 
@@ -280,6 +289,43 @@ class Monitor:
                     op.refs += 1
         return live[fid][epoch]
 
+    def clone(self) -> Monitor:
+        """An independent copy of this monitor between cells: the live
+        instance graph with its sharing and reference counts, the shared
+        `_T`/`_F` stand-ins and the same `RuleSystem`.  Stepping either one
+        leaves the other as it was."""
+        twin = object.__new__(Monitor)
+        twin.system = self.system
+        twin.cell = self.cell
+        twin.verdict = self.verdict
+        twin._nodes = self._nodes
+        twin._init_sets = self._init_sets
+        twin._crowded = self._crowded
+        twin._state = self._state
+        copies: dict[_Instance, _Instance] = {_T: _T, _F: _F}
+        live = twin._live = []
+        for insts in self._live:  # operands carry smaller ids, so they are copied first
+            mine = {}
+            for epoch, inst in insts.items():
+                copy = copies[inst] = mine[epoch] = _Instance(epoch, inst.code, inst.mode)
+                copy.value = inst.value
+                copy.refs = inst.refs
+                ops = inst.ops
+                copy.ops = [copies[sub] for sub in ops] if ops.__class__ is list else ops
+            live.append(mine)
+        twin._root = copies[self._root]
+        return twin
+
+    def advance(self, observations, is_last: bool = False) -> Verdict:
+        """Process one trace cell as `step` does, recording nothing; returns
+        the verdict so far."""
+        if self.finished:
+            raise MonitorError("monitor already produced a verdict; the trace beyond it is ignored")
+        self._fire(frozenset(observations), is_last, None)
+        self._settle()
+        self._state = None
+        return self.verdict
+
     def step(self, observations, is_last: bool = False) -> StepOutcome:
         """Process one trace cell.  `is_last` puts the end-of-trace marker
         in effect, forcing the temporal operators to their final values."""
@@ -287,10 +333,25 @@ class Monitor:
             raise MonitorError("monitor already produced a verdict; the trace beyond it is ignored")
         obs = frozenset(observations)
         cell = self.cell
-        state_before = self._state
-
+        state_before = self._state or self.active()
         evaluations: list[tuple[int, int, TruthValue]] = []
-        append = evaluations.append
+        self._fire(obs, is_last, evaluations.append)
+        folded = self._settle()
+        state_after = self._state = None if self.verdict is not _UNDECIDED else self.active()
+        return StepOutcome(
+            system=self.system,
+            cell=cell,
+            verdict=self.verdict,
+            state_before=state_before,
+            observations=tuple(sorted(obs)),
+            evaluations=tuple(evaluations),
+            state_after=state_after,
+            folded=folded,
+        )
+
+    def _fire(self, obs: frozenset[str], is_last: bool, record) -> None:
+        """Give every live instance its value this cell, operands first,
+        passing each (fid, epoch, value) to `record` unless it is None."""
         evaluate = self._evaluate
         nodes = self._nodes
         for fid, insts in enumerate(self._live):
@@ -308,40 +369,28 @@ class Monitor:
                 for epoch, inst in insts.items():
                     inst.value = value
                     inst.resolved = True
-                    append((fid, epoch, value))
+                    if record is not None:
+                        record((fid, epoch, value))
                 continue
             for epoch, inst in insts.items():
                 value = evaluate(node, inst, is_last)
                 inst.value = value
                 if value.kind != "?":
                     inst.resolved = True
-                append((fid, epoch, value))
+                if record is not None:
+                    record((fid, epoch, value))
 
-        root_value = self._root.value
-        if root_value.kind == "T":
-            self.verdict = Verdict.SUCCESS
-        elif root_value.kind == "F":
-            self.verdict = Verdict.FAILURE
-
-        state_after = None
-        folded = ()
-        if not self.finished:
+    def _settle(self) -> tuple[tuple[int, int], ...]:
+        """Take the verdict from the root's value and, while undecided, make
+        the next cell's state; returns the (fid, epoch) of folded instances."""
+        self.cell += 1
+        kind = self._root.value.kind
+        if kind == "?":
             self._prune()
-            self._reactivate(cell + 1)
-            if self._crowded:
-                folded = self._merge()
-            state_after = self._state = self.active()
-        self.cell = cell + 1
-        return StepOutcome(
-            system=self.system,
-            cell=cell,
-            verdict=self.verdict,
-            state_before=state_before,
-            observations=tuple(sorted(obs)),
-            evaluations=tuple(evaluations),
-            state_after=state_after,
-            folded=folded,
-        )
+            self._reactivate(self.cell)
+            return self._merge() if self._crowded else ()
+        self.verdict = Verdict.SUCCESS if kind == "T" else Verdict.FAILURE
+        return ()
 
     # -- evaluation ---------------------------------------------------------
 
@@ -480,6 +529,117 @@ def run_trace(system: RuleSystem, trace: Trace) -> RunResult:
         if outcome.verdict is not Verdict.UNDECIDED:
             break
     return RunResult(monitor.verdict, outcomes[-1].cell, outcomes)
+
+
+# ---------------------------------------------------------------------------
+# verdict cache
+
+
+# Most states a CachedMonitor keeps; a walk that would need one more steps
+# plain monitors from there.
+NODE_CAP = 1024
+
+
+def _state_key(monitor: Monitor) -> tuple:
+    """Canonical form of a monitor's state between cells: its live instances
+    fid by fid, in epoch order, each as (fid, mode, the positions of its
+    operands in that numbering), `_T`/`_F` written as -1/-2.  Epochs only
+    order and render, and values are recomputed before they are read, so
+    monitors with equal keys give the same verdicts on every continuation."""
+    number: dict[_Instance, int] = {_T: -1, _F: -2}
+    key = []
+    for fid, insts in enumerate(monitor._live):
+        for inst in insts.values():
+            key.append((fid, inst.mode, tuple([number[sub] for sub in inst.ops])))
+            number[inst] = len(key) - 1
+    return tuple(key)
+
+
+class _Node:
+    """One state of the cached automaton: a representative monitor in it,
+    which is only ever cloned, and the transitions found so far."""
+
+    __slots__ = ("monitor", "next", "end")
+
+    def __init__(self, monitor: Monitor):
+        self.monitor = monitor
+        self.next: dict[frozenset[str], _Node | Verdict] = {}  # letter -> state after it, or the verdict
+        self.end: dict[frozenset[str], Verdict] = {}  # letter -> verdict of a trace ending on it
+
+
+class CachedMonitor:
+    """Verdict-only monitor over a finite automaton built lazily from the
+    rule monitor (Bauer, Leucker & Schallhart, TOSEM 2011).
+
+    A state is a canonical monitor state (see `_state_key`); a letter is a
+    cell intersected with the formula's atoms.  A transition not yet known
+    is found by cloning the state's representative monitor and advancing the
+    clone one cell, so every verdict comes from the rule monitor itself.
+    Past `NODE_CAP` states, `next` hands out plain monitors and steps a clone
+    of one per cell.  States are immutable: `next` and `end` never change
+    the state they are given, so a caller may keep an earlier one."""
+
+    def __init__(self, system: RuleSystem):
+        self._atoms = frozenset(node.atom for node in system.nodes if node.atom is not None)
+        first = Monitor(system)
+        self.initial = _Node(first)
+        self._nodes = {_state_key(first): self.initial}
+
+    def __len__(self) -> int:
+        """The number of states built so far."""
+        return len(self._nodes)
+
+    def next(self, state: _Node | Monitor, cell) -> _Node | Monitor | Verdict:
+        """The state after `cell` when more cells follow, or the verdict
+        reached there."""
+        if state.__class__ is Monitor:
+            monitor = state.clone()
+            verdict = monitor.advance(cell)
+            return monitor if verdict is Verdict.UNDECIDED else verdict
+        letter = self._atoms.intersection(cell)
+        return state.next.get(letter) or self._miss(state, letter)
+
+    def end(self, state: _Node | Monitor, cell) -> Verdict:
+        """The verdict of a trace that ends with `cell` after `state`."""
+        if state.__class__ is Monitor:
+            return state.clone().advance(cell, is_last=True)
+        letter = self._atoms.intersection(cell)
+        verdict = state.end.get(letter)
+        if verdict is None:
+            verdict = state.end[letter] = state.monitor.clone().advance(letter, is_last=True)
+        return verdict
+
+    def run(self, cells) -> tuple[Verdict, int]:
+        """Verdict and deciding cell of a whole trace, as `run_trace` gives them."""
+        if len(cells) == 0:
+            raise MonitorError("cannot monitor an empty trace")
+        last = len(cells) - 1
+        atoms = self._atoms
+        state = self.initial
+        for i in range(last):
+            if state.__class__ is _Node:  # `next`, inlined for the common case
+                letter = atoms.intersection(cells[i])
+                state = state.next.get(letter) or self._miss(state, letter)
+            else:
+                state = self.next(state, cells[i])
+            if state.__class__ is Verdict:
+                return state, i
+        return self.end(state, cells[last]), last
+
+    def _miss(self, node: _Node, letter: frozenset[str]) -> _Node | Monitor | Verdict:
+        monitor = node.monitor.clone()
+        verdict = monitor.advance(letter)
+        if verdict is not Verdict.UNDECIDED:
+            node.next[letter] = verdict
+            return verdict
+        key = _state_key(monitor)
+        target = self._nodes.get(key)
+        if target is None:
+            if len(self._nodes) >= NODE_CAP:
+                return monitor
+            target = self._nodes[key] = _Node(monitor)
+        node.next[letter] = target
+        return target
 
 
 # ---------------------------------------------------------------------------

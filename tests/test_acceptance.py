@@ -16,6 +16,7 @@ import time
 import pytest
 
 from rulerunner import (
+    CachedMonitor,
     Monitor,
     Trace,
     Verdict,
@@ -72,20 +73,25 @@ def sweep_traces(per_combo: int = 9, max_length: int = 6, seed: int = 90210) -> 
 
 def _sweep_batch(args):
     """Worker: differential + end-binary + extension-invariance checks for
-    one batch of formulae over the shared trace corpus."""
+    one batch of formulae over the shared trace corpus, and the cached
+    monitor's verdict and deciding cell against `run_trace`'s."""
     batch_index, formulas, traces = args
     rng = random.Random(0xACCE97 + batch_index)
     mismatches = []
     nonbinary = []
     ext_bad = []
+    cache_bad = []
     comparisons = 0
     ext_checked = 0
     for f in formulas:
         system = compile_formula(f)
+        cache = CachedMonitor(system)
         ext_budget = 2  # extension checks per formula
         for u in traces:
             comparisons += 1
             result = run_trace(system, u)
+            if cache.run(u.cells) != (result.verdict, result.deciding_cell):
+                cache_bad.append((f, u))
             if result.verdict is Verdict.UNDECIDED:
                 nonbinary.append((f, u))
                 continue
@@ -102,7 +108,7 @@ def _sweep_batch(args):
                 for extended in (Trace(u.cells + suffix), Trace(consumed + suffix)):
                     if oracle_eval(f, extended, 0) != engine_true:
                         ext_bad.append((f, u, extended))
-    return comparisons, mismatches, nonbinary, ext_checked, ext_bad
+    return comparisons, mismatches, nonbinary, ext_checked, ext_bad, cache_bad
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +133,9 @@ def differential_sweep():
     ]
 
     started = time.time()
-    totals = dict(comparisons=0, mismatches=[], nonbinary=[], ext_checked=0, ext_bad=[])
+    totals = dict(comparisons=0, mismatches=[], nonbinary=[], ext_checked=0, ext_bad=[], cache_bad=[])
     with multiprocessing.Pool(2) as pool:
-        for comparisons, mismatches, nonbinary, ext_checked, ext_bad in pool.imap_unordered(
+        for comparisons, mismatches, nonbinary, ext_checked, ext_bad, cache_bad in pool.imap_unordered(
             _sweep_batch, batches
         ):
             totals["comparisons"] += comparisons
@@ -137,6 +143,7 @@ def differential_sweep():
             totals["nonbinary"] += nonbinary
             totals["ext_checked"] += ext_checked
             totals["ext_bad"] += ext_bad
+            totals["cache_bad"] += cache_bad
     totals["elapsed"] = time.time() - started
     totals["formula_count"] = len(formulas)
     totals["trace_count"] = len(traces)
@@ -265,6 +272,15 @@ def test_criterion_6_end_binary(differential_sweep):
     ok = not s["nonbinary"]
     report(6, ok, f"verdict binary at trace end in all {s['comparisons']} runs")
     assert not s["nonbinary"]
+
+
+def test_cached_monitor_matches_run_trace(differential_sweep):
+    """Over every pair of the criterion-4 sweep, the cached monitor gives
+    the verdict and deciding cell `run_trace` gives."""
+    s = differential_sweep
+    for f, u in s["cache_bad"][:5]:
+        print("  cache mismatch:", f, u)
+    assert not s["cache_bad"]
 
 
 def chain_formula(depth: int):

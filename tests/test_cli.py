@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,18 @@ class TestRun:
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "a", "--trace-file", "/nonexistent"]) == 2
 
+    def test_directory_as_trace_file_exits_2(self, tmp_path, capsys):
+        assert main(["run", "a", "--trace-file", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "directory" in err
+
+    def test_non_utf8_trace_file_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "latin1.trace"
+        p.write_bytes(b"a\n\xe9t\xe9\n")
+        assert main(["run", "a", "--trace-file", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
+
     def test_bad_trace_exits_2(self, capsys):
         assert main(["run", "a", "--trace", "[a - END]"]) == 2
 
@@ -121,6 +134,60 @@ class TestStream:
         code = run_cli("stream", formula, stdin="", monkeypatch=monkeypatch)
         assert code == exit_code
         assert capsys.readouterr().out.splitlines() == [verdict]
+
+
+class TestStreamPastNodeCap:
+    def test_verdicts_match_run_with_a_cap_of_one(self, capsys, monkeypatch):
+        """With room for one automaton state, `stream` walks plain monitors
+        and still ends with the verdict `run` gives."""
+        from rulerunner import engine
+
+        monkeypatch.setattr(engine, "NODE_CAP", 1)
+        cells = [".", "b", ".", "a", "b", ".", "."]
+        for formula in ("G F X a", "G (!a | F b)", "(X a) U b"):
+            for n in range(1, len(cells) + 1):
+                assert main(["run", formula, "--trace", " - ".join(cells[:n]), "--explain"]) in (0, 1)
+                want = capsys.readouterr().out.strip().splitlines()[-1].split()[0]
+                run_cli("stream", formula, stdin="\n".join(cells[:n]) + "\n", monkeypatch=monkeypatch)
+                assert capsys.readouterr().out.splitlines()[-1] == want, (formula, cells[:n])
+
+
+class _CountingSink:
+    """stdout stand-in that keeps only the number of lines written."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text: str) -> int:
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+class TestStreamMemory:
+    def test_memory_does_not_grow_with_the_stream(self, monkeypatch):
+        """`G (a | X b)` never decides on cells alternating between empty
+        and {a, b}; from 10k to 100k cells the stream keeps no more memory."""
+        marks = {}
+
+        def lines():
+            for i in range(100_000):
+                if i in (10_000, 99_999):
+                    marks[i] = tracemalloc.get_traced_memory()[0]
+                yield "a,b\n" if i % 2 else ".\n"
+
+        sink = _CountingSink()
+        monkeypatch.setattr("sys.stdin", lines())
+        monkeypatch.setattr("sys.stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["stream", "G (a | X b)"])
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.lines == 100_001
+        assert marks[99_999] - marks[10_000] < 4096
 
 
 class TestGen:

@@ -5,7 +5,9 @@ import tracemalloc
 
 import pytest
 
+from rulerunner import engine
 from rulerunner import (
+    CachedMonitor,
     EvalMode,
     Monitor,
     MonitorError,
@@ -370,9 +372,11 @@ class TestDifferentialSmoke:
         rng = random.Random(20261018)
         runs = 0
         mismatches = []
+        cache_mismatches = []
         for k in range(1500):
             f = random_formula(3 + k % 2, ["a", "b"], rng)
             system = compile_formula(f)
+            cache = CachedMonitor(system)
             for _ in range(4):
                 density = rng.choice((0.05, 0.3, 0.7))
                 cells = tuple(
@@ -380,12 +384,114 @@ class TestDifferentialSmoke:
                     for _ in range(rng.randint(10, 60))
                 )
                 trace = Trace(cells)
-                verdict = run_trace(system, trace).verdict
+                result = run_trace(system, trace)
+                verdict = result.verdict
                 runs += 1
                 if verdict is Verdict.UNDECIDED or (verdict is Verdict.SUCCESS) != oracle_eval(f, trace, 0):
                     mismatches.append((f, cells, verdict))
+                if cache.run(cells) != (verdict, result.deciding_cell):
+                    cache_mismatches.append((f, cells, cache.run(cells), verdict, result.deciding_cell))
+            assert len(cache) <= engine.NODE_CAP
         assert runs == 6000
         assert mismatches == []
+        assert cache_mismatches == []
+
+
+def random_run(rng, depth: int, length: int, atoms: str = "ab"):
+    f = random_formula(depth, ["a", "b"], rng)
+    density = rng.choice((0.05, 0.3, 0.7))
+    cells = tuple(frozenset(x for x in atoms if rng.random() < density) for _ in range(length))
+    return f, cells
+
+
+class TestClone:
+    def test_clone_resumed_at_any_cell_ends_like_the_original(self):
+        rng = random.Random(4242)
+        resumed = crowded = 0
+        for k in range(600):
+            f, cells = random_run(rng, 3 + k % 2, rng.randint(2, 16), "abc")
+            system = compile_formula(f)
+            whole = run_trace(system, Trace(cells))
+            monitor = Monitor(system)
+            last = len(cells) - 1
+            for i in range(len(whole.outcomes)):
+                twin = monitor.clone()
+                tail = []
+                for j in range(i, len(cells)):
+                    tail.append(twin.step(cells[j], is_last=(j == last)))
+                    if twin.finished:
+                        break
+                assert twin.verdict is whole.verdict
+                assert tail[-1].cell == whole.deciding_cell
+                assert explain(tail) == explain(whole.outcomes[i:])
+                resumed += 1
+                crowded += "@" in tail[0].rows()  # resumed with several epochs of one subformula live
+                monitor.step(cells[i], is_last=(i == last))
+        assert resumed > 2000 and crowded > 50
+
+    def test_stepping_a_clone_leaves_the_original_unchanged(self):
+        rng = random.Random(99)
+        for k in range(200):
+            f, cells = random_run(rng, 3 + k % 2, 12)
+            monitor = Monitor(compile_formula(f))
+            for cell in cells:
+                view = monitor.instances()
+                twin = monitor.clone()
+                assert twin.instances() == view
+                if k % 2:
+                    twin.advance(cell)
+                else:
+                    twin.step(cell, is_last=True)
+                assert monitor.instances() == view
+                if monitor.advance(cell) is not Verdict.UNDECIDED:
+                    break
+
+
+class TestCachedMonitor:
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_small_cap_falls_back_to_plain_monitors(self, monkeypatch, cap):
+        monkeypatch.setattr(engine, "NODE_CAP", cap)
+        rng = random.Random(cap)
+        plain = 0
+        for k in range(150):
+            f = random_formula(3 + k % 2, ["a", "b"], rng)
+            system = compile_formula(f)
+            cache = CachedMonitor(system)
+            for _ in range(4):
+                _, cells = random_run(rng, 0, rng.randint(1, 40), "abc")
+                result = run_trace(system, Trace(cells))
+                assert cache.run(cells) == (result.verdict, result.deciding_cell), (f, cells)
+                assert len(cache) <= cap
+                state = cache.initial
+                for cell in cells[:-1]:
+                    state = cache.next(state, cell)
+                    if isinstance(state, Verdict):
+                        break
+                    plain += isinstance(state, Monitor)
+        assert plain > 100  # the fallback ran
+
+    def test_states_are_never_stepped(self):
+        """`next` and `end` leave the state they are given as it was."""
+        cache = CachedMonitor(system_for("G (a | X b)"))
+        state = cache.initial
+        view = state.monitor.instances()
+        assert cache.end(state, {"a"}) is Verdict.SUCCESS
+        assert cache.end(state, set()) is Verdict.FAILURE
+        after = cache.next(state, set())
+        assert cache.end(after, set()) is Verdict.FAILURE
+        assert cache.next(after, set()) is Verdict.FAILURE
+        assert cache.next(after, {"a", "b"}) is state
+        assert state.monitor.instances() == view
+        assert len(cache) == 2
+
+    def test_rule_system_holds_no_cache(self):
+        system = system_for("G F X a")
+        CachedMonitor(system).run([frozenset(), frozenset({"a"})] * 10)
+        assert set(vars(system)) == {"index", "nodes", "init_sets", "root"}
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(MonitorError):
+            CachedMonitor(system_for("a")).run(())
 
 
 class TestStateSize:
@@ -420,6 +526,20 @@ class TestStateSize:
             monitor.step(pattern[i % len(pattern)])
             assert monitor.live_count() <= bound, f"{text}: {monitor.live_count()} live after cell {i}"
         assert not monitor.finished
+
+    @pytest.mark.parametrize("text, pattern", PROBES, ids=[text for text, _ in PROBES])
+    def test_live_instances_bounded_on_clones(self, text, pattern):
+        system = system_for(text)
+        monitor = Monitor(system)
+        bound = 2 * len(system.nodes)
+        for i in range(5000):
+            if i % 500 == 0:
+                twin = monitor.clone()
+                assert twin.live_count() == monitor.live_count()
+                for j in range(i, i + 500):
+                    twin.step(pattern[j % len(pattern)])
+                    assert twin.live_count() <= bound, f"{text}: {twin.live_count()} live on a clone"
+            monitor.step(pattern[i % len(pattern)])
 
     def test_until_keeps_no_settled_cells(self):
         """`a U b` with `a` held settles every cell; none of them stays in
