@@ -3,8 +3,9 @@
 An LTL formula in negation normal form is compiled into evaluation rules,
 reactivation rules and an initial state; a monitor then scans a trace cell
 by cell, propagating truth values bottom-up and producing a binary verdict
-no later than the final cell.  A brute-force finite-trace evaluator serves
-as an independent oracle for differential testing, and a state-to-judgement
+no later than the final cell.  A bit-parallel finite-trace evaluator, one
+int bit set per subformula, serves as an independent oracle for
+differential testing, and a state-to-judgement
 mapping checks that every intermediate monitor state denotes the same
 truth value as the verdict eventually reached.
 """

@@ -138,7 +138,7 @@ def run_differential(
     formulas: list[Formula],
     traces: list[Trace],
 ) -> tuple[int, list[tuple[Formula, Trace, Verdict, bool]]]:
-    """Compare the engine verdict against the brute-force semantics on every
+    """Compare the engine verdict against the reference semantics on every
     (formula, trace) pair; returns (comparisons, mismatches)."""
     mismatches = []
     comparisons = 0
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("diff", help="differential check of the engine against brute-force semantics")
+    p = sub.add_parser("diff", help="differential check of the engine against the reference semantics")
     p.add_argument("--max-depth", type=int, default=2)
     p.add_argument("--atoms", default="a,b")
     p.add_argument("--traces", type=int, default=50)

@@ -1,9 +1,13 @@
-"""Brute-force finite-trace LTL semantics, used as ground truth.
+"""Finite-trace LTL semantics, used as ground truth.
 
-Deliberately independent of the rule engine and its evaluation tables:
-everything here is evaluated by direct recursion over the trace.  Strong
-next is false and weak next true when no next cell exists; eventually and
-always quantify over the remaining cells directly (not via until).
+Deliberately independent of the rule engine and its evaluation tables.
+Each subformula is evaluated once over the whole trace, bottom-up (the
+dynamic programme of Havelund & Roşu, *Synthesizing Monitors for Safety
+Properties*, TACAS 2002), as an int whose bit j is its value at cell j.
+Strong next is false and weak next true when no next cell exists;
+eventually and always read the highest cell where their operand holds or
+fails (not via until), and until is the least fixpoint of its one-step
+unfolding.
 """
 
 from __future__ import annotations
@@ -32,49 +36,52 @@ from .traces import Trace
 def oracle_eval(f: Formula, u: Trace, i: int) -> bool:
     """FLTL value of f at position i of u.  Not nodes are evaluated as the
     boolean complement of their operand."""
-    if not 0 <= i < len(u):
-        raise IndexError(f"position {i} outside trace of length {len(u)}")
-    memo: dict[tuple[int, int], bool] = {}
+    n = len(u)
+    if not 0 <= i < n:
+        raise IndexError(f"position {i} outside trace of length {n}")
+    return bool(_bits(f, u.positions, (1 << n) - 1) >> i & 1)
 
-    def ev(g: Formula, j: int) -> bool:
-        key = (id(g), j)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        val = _ev(g, j)
-        memo[key] = val
-        return val
 
-    def _ev(g: Formula, j: int) -> bool:
-        if isinstance(g, TrueConst):
-            return True
-        if isinstance(g, Atom):
-            return g.name in u[j]
-        if isinstance(g, NegAtom):
-            return g.name not in u[j]
-        if isinstance(g, Not):
-            return not ev(g.sub, j)
-        if isinstance(g, Or):
-            return ev(g.left, j) or ev(g.right, j)
-        if isinstance(g, And):
-            return ev(g.left, j) and ev(g.right, j)
-        if isinstance(g, Next):
-            return j + 1 < len(u) and ev(g.sub, j + 1)
-        if isinstance(g, WeakNext):
-            return j + 1 >= len(u) or ev(g.sub, j + 1)
-        if isinstance(g, Eventually):
-            return any(ev(g.sub, k) for k in range(j, len(u)))
-        if isinstance(g, Always):
-            return all(ev(g.sub, k) for k in range(j, len(u)))
-        assert isinstance(g, Until)
-        for k in range(j, len(u)):
-            if ev(g.right, k):
-                return True
-            if not ev(g.left, k):
-                return False
-        return False
+def _bits(g: Formula, pos: dict[str, int], full: int) -> int:
+    """The cells of the trace where g holds, as a bit set; `pos` maps each
+    observed name to its cells and `full` has one bit per cell."""
+    kind = type(g)
+    if kind is Atom:
+        return pos.get(g.name, 0)
+    if kind is NegAtom:
+        return full ^ pos.get(g.name, 0)
+    if kind is TrueConst:
+        return full
+    if kind is Or:
+        return _bits(g.left, pos, full) | _bits(g.right, pos, full)
+    if kind is And:
+        return _bits(g.left, pos, full) & _bits(g.right, pos, full)
+    if kind is Next:
+        return _bits(g.sub, pos, full) >> 1
+    if kind is WeakNext:
+        return _bits(g.sub, pos, full) >> 1 | (full + 1) >> 1  # the last cell's bit
+    if kind is Eventually:
+        return (1 << _bits(g.sub, pos, full).bit_length()) - 1
+    if kind is Always:
+        return full ^ ((1 << (full ^ _bits(g.sub, pos, full)).bit_length()) - 1)
+    if kind is Until:
+        return _until(_bits(g.left, pos, full), _bits(g.right, pos, full))
+    if kind is Not:
+        return full ^ _bits(g.sub, pos, full)
+    raise TypeError(f"not a formula node: {g!r}")
 
-    return ev(f, i)
+
+def _until(f: int, g: int) -> int:
+    """Least fixpoint of v = g | f & v >> 1, by doubling: after the round
+    with shift s, v holds where g is reached within 2s cells through f, and
+    p where f holds over the next 2s cells.  A round that adds nothing
+    means no longer reach can add anything either."""
+    v, p, s = g, f, 1
+    while True:
+        w = v | p & (v >> s)
+        if w == v:
+            return v
+        v, p, s = w, p & (p >> s), s << 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ltl import ATOM_RE
 
@@ -31,6 +32,17 @@ class Trace:
 
     def __getitem__(self, i: int) -> frozenset[str]:
         return self.cells[i]
+
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Each observed name mapped to the bit set of the cells holding it
+        (bit j for cell j), built on first read and kept with the trace."""
+        out: dict[str, int] = {}
+        for j, cell in enumerate(self.cells):
+            bit = 1 << j
+            for name in cell:
+                out[name] = out.get(name, 0) | bit
+        return out
 
 
 def _check_atom(name: str, where: str) -> str:

@@ -245,7 +245,8 @@ def test_criterion_4_differential_soundness(differential_sweep):
         f"{s['comparisons']} engine-vs-oracle comparisons "
         f"({s['formula_count']} exhaustive depth<=2 formulae x {s['trace_count']} traces "
         f"+ {s['deep_count']} random depth-3 formulae), "
-        f"{len(s['mismatches'])} mismatches in {s['elapsed']:.0f} s",
+        f"{len(s['mismatches'])} mismatches in {s['elapsed']:.0f} s "
+        f"({s['comparisons'] / s['elapsed']:.0f} comparisons/s; gate < 300 s)",
     )
     for f, u, verdict in s["mismatches"][:5]:
         print("  mismatch:", f, u, verdict)

@@ -1,11 +1,15 @@
-"""Property test: every way to a verdict agrees, and agrees with the oracle.
+"""Property tests: every way to a verdict agrees, and agrees with the oracle;
+`rulerunner stream` survives malformed input.
 
-`run_trace`, the cached monitor and `rulerunner stream` must give the same
-verdict on every trace, and the same deciding cell; the verdict must be the
-brute-force semantics'.  Hypothesis draws formulae of depth <= 4 over a, b
-and traces of up to 60 cells that may hold an off-alphabet `c`, and shrinks
-a failure to a minimal counterexample.  The examples are derandomized and
-their number fixed, so the test is deterministic; it takes about 10 s on a 2-core machine.
+`run_trace`, `Monitor.advance`, the cached monitor and `rulerunner stream`
+must give the same verdict on every trace, and the same deciding cell; the
+verdict must be the finite-trace semantics', and after every cell no two of
+the monitor's live instances of one subformula have the same future.  Hypothesis
+draws formulae of depth <= 4 over a, b and traces of up to 60 cells that
+may hold an off-alphabet `c`, and shrinks a failure to a minimal
+counterexample.  The examples are derandomized and their number fixed, so
+the tests are deterministic; together they take about 15 s on a 2-core
+machine.
 """
 
 import io
@@ -20,6 +24,7 @@ from rulerunner import (
     Atom,
     CachedMonitor,
     Eventually,
+    Monitor,
     NegAtom,
     Next,
     Or,
@@ -30,6 +35,7 @@ from rulerunner import (
     WeakNext,
     compile_formula,
     format_formula,
+    format_trace_inline,
     oracle_eval,
     run_trace,
 )
@@ -55,6 +61,31 @@ CELLS = st.integers(1, 60).flatmap(
 )
 
 
+def assert_folded(monitor: Monitor) -> None:
+    """No two live instances share a key -- subformula, mode and operands,
+    the operands of an eventually or always as a set: equal keys mean
+    identical futures, and the monitor folds them into one."""
+    keys = set()
+    for fid, _, mode, ops in monitor.instances():
+        kind = monitor.system.nodes[fid].kind
+        key = (fid, frozenset(ops)) if kind in ("eventually", "always") else (fid, mode, ops)
+        assert key not in keys, f"two live instances of node {fid} ({kind}) with key {key}"
+        keys.add(key)
+
+
+def advance(system, cells) -> tuple[Verdict, int]:
+    """Verdict and deciding cell of a `Monitor` fed `cells` by `advance`;
+    checks after every undecided cell that equivalent instances were folded,
+    which bounds the live state by the formula alone."""
+    monitor = Monitor(system)
+    for i, cell in enumerate(cells):
+        verdict = monitor.advance(cell, is_last=i == len(cells) - 1)
+        if verdict is not Verdict.UNDECIDED:
+            return verdict, i
+        assert_folded(monitor)
+    raise AssertionError("no verdict after the last cell")
+
+
 def stream(formula: str, cells, close: str) -> tuple[Verdict, int]:
     """Verdict and deciding cell of `rulerunner stream` fed `cells`, then `close`."""
     lines = "".join((",".join(sorted(cell)) or ".") + "\n" for cell in cells) + close
@@ -78,6 +109,55 @@ def test_every_verdict_path_agrees_with_the_oracle(f, cells, close):
     system = compile_formula(f)
     result = run_trace(system, Trace(tuple(cells)))
     expected = (result.verdict, result.deciding_cell)
+    assert advance(system, cells) == expected
     assert CachedMonitor(system).run(cells) == expected
     assert stream(format_formula(f), cells, close) == expected
     assert (result.verdict is Verdict.SUCCESS) == oracle_eval(f, Trace(tuple(cells)), 0)
+
+
+# stream lines: a well-formed line is one cell in trace-file syntax; a
+# malformed one holds a name the cell syntax rejects
+NAMES = st.sampled_from(["a", "b", "c", "x_1"])
+BAD_NAMES = st.sampled_from(["END", "1a", "A", "a-b", "$end2", "#", "é", "a;b"])
+SEPARATORS = st.sampled_from([",", " ", " , ", "\t"])
+WELL_FORMED = st.one_of(
+    st.sampled_from(["", ".", "  ", " . "]),
+    st.tuples(st.lists(NAMES, min_size=1, max_size=3), SEPARATORS).map(lambda t: t[1].join(t[0])),
+)
+MALFORMED = st.tuples(st.lists(NAMES, max_size=2), BAD_NAMES, SEPARATORS).map(
+    lambda t: t[2].join(t[0] + [t[1]])
+)
+LINES = st.lists(st.one_of(WELL_FORMED.map(lambda s: (s, True)), MALFORMED.map(lambda s: (s, False))), max_size=30)
+
+
+def cells_of(lines: list[str]) -> list[frozenset[str]]:
+    return [frozenset(line.replace(",", " ").split()) - {"."} for line in lines]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(formulas(3), LINES, st.sampled_from(["$end\n", ""]))
+def test_stream_skips_each_malformed_line_once(f, lines, close):
+    text = format_formula(f)
+    good = [line for line, ok in lines if ok]
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin = io.StringIO("".join(line + "\n" for line, _ in lines) + close)
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        code = main(["stream", text])
+        out, err = sys.stdout.getvalue().splitlines(), sys.stderr.getvalue().splitlines()
+        sys.stdout = io.StringIO()
+        run_code = main(["run", text, "--trace", format_trace_inline(Trace(tuple(cells_of(good) or [frozenset()])))])
+        run_out = sys.stdout.getvalue().splitlines()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    assert code in (0, 1)
+    # `run` prints "<verdict> at cell <k>"; the stream's last line is the verdict
+    assert out[-1] == run_out[-1].split()[0] and code == run_code
+    # an online verdict ends the stream at its cell's line; the rest is unread
+    read = len(lines)
+    if len(out) <= len(good):
+        read = [i for i, (_, ok) in enumerate(lines) if ok][len(out) - 1] + 1
+    malformed = [i + 1 for i, (_, ok) in enumerate(lines[:read]) if not ok]
+    assert len(err) == len(malformed)
+    for line, lineno in zip(err, malformed):
+        assert line.startswith(f"skipped malformed cell: line {lineno}: ")
