@@ -51,10 +51,13 @@ def _load_trace(args) -> Trace:
 
 def _parse_atoms(text: str) -> tuple[str, ...]:
     """The comma-separated `--atoms` alphabet: nonempty, each name a valid
-    observation name."""
+    observation name given once."""
     atoms = tuple(_check_atom(a.strip(), "alphabet") for a in text.split(",") if a.strip())
     if not atoms:
         raise TraceError("alphabet: no atom names given")
+    for i, a in enumerate(atoms):
+        if a in atoms[:i]:
+            raise TraceError(f"alphabet: atom name {a!r} given more than once")
     return atoms
 
 

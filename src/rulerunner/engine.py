@@ -12,24 +12,26 @@ mode reads, a next or weak next the operand instance it spawned for the
 following cell, an eventually or always the operand instances it still
 waits on, and an until the operand pair of every cell that can still
 witness it, a resolved operand replaced by a shared settled stand-in.
-An instance's epoch names the oldest spawn cell of the class of equivalent
+Operands carry smaller subformula ids than their parents, so the instance
+graph is acyclic.  An instance's epoch, its key in the monitor's map for
+its subformula, names the oldest spawn cell of the class of equivalent
 instances it stands for; instances of one subformula are listed, fired
 and rendered in epoch order, and tagged ``@epoch`` when several are live.
 
 A cell is processed in four phases, firing each live instance once in
 compiled (post-order) order.  Observations are added and truth values are
-computed bottom-up.  Instances that resolved, and instances no live parent
-holds any more, are dropped, parents first, so an instance nobody reads
-is never stepped again.  Undecided instances reactivate for the next
-cell, spawning fresh operand instances, except an until that no later
-cell can witness (mode L or R).  Last, instances of one subformula whose
-futures are identical -- same mode and the same operand list -- are
-folded into the oldest one, so `explain` and `StepOutcome.to_dict()` show
-one row per class.  With operand instances folded bottom-up, the live
-state is bounded by the formula alone, whatever the trace length; for
-formulae whose temporal operators have purely propositional operands at
-most one instance per subformula is ever live and the flat rule-set
-behaviour is recovered exactly.
+computed bottom-up.  Only the unresolved instances that the root reaches
+through unresolved ones are kept, found by one sweep from the root down,
+so an instance nobody reads is never stepped again.  Undecided instances
+reactivate for the next cell, spawning fresh operand instances, except an
+until that no later cell can witness (mode L or R).  Last, instances of
+one subformula whose futures are identical -- same mode and the same
+operand list -- are folded into the oldest one, so `explain` and
+`StepOutcome.to_dict()` show one row per class.  With operand instances
+folded bottom-up, the live state is bounded by the formula alone, whatever
+the trace length; for formulae whose temporal operators have purely
+propositional operands at most one instance per subformula is ever live
+and the flat rule-set behaviour is recovered exactly.
 
 `Monitor.step` records each cell (`StepOutcome`, for `explain`, `to_dict`
 and `mapcheck`); `Monitor.advance` runs the same phases and records
@@ -70,58 +72,34 @@ _PLAIN, _L, _R, _M = EvalMode.PLAIN, EvalMode.L, EvalMode.R, EvalMode.M
 
 
 class _Instance:
-    """One live activation of a subformula.
+    """One live activation of a subformula; its epoch is its key in the
+    monitor's `_live` map for the subformula.
 
-    `epoch` is the oldest spawn cell of the equivalent instances it stands
-    for.  `ops` holds, by reference, the operand instances it reads: for an
+    `ops` holds, by reference, the operand instances it reads: for an
     and/or, the operands its mode reads; for a next or weak next, nothing
     until it mirrors (mode M) and then its operand; for an eventually or
     always, the operand instances it still waits on; for an until, the
     (operand one, operand two) pair of every cell that can still witness
     it, flattened, oldest first, with `_T`/`_F` in place of an operand that
-    resolved.  `refs` counts the references held on this instance by live
-    parents, plus the monitor's on the root; `forward` names the survivor
-    once this instance has been folded into an equivalent one."""
+    resolved."""
 
-    __slots__ = ("epoch", "code", "mode", "value", "resolved", "refs", "ops", "forward")
+    __slots__ = ("mode", "value", "resolved", "ops")
 
-    def __init__(self, epoch: int, code: int, mode: EvalMode):
-        self.epoch = epoch
-        self.code = code
+    def __init__(self, mode: EvalMode):
         self.mode = mode
         self.value: TruthValue | None = None
         self.resolved = False
-        self.refs = 0
         self.ops: list[_Instance] | tuple = ()
-        self.forward: _Instance | None = None
-
-    def key(self):
-        """Equal keys among instances of one subformula mean identical
-        futures: the same mode reading the same operand instances (for an
-        eventually or always, the same set of them).  Leaves never have two
-        live instances, as each resolves in its spawn cell."""
-        if self.code == K_EVENTUALLY or self.code == K_ALWAYS:
-            return frozenset(self.ops)
-        return self.mode, tuple(self.ops)
-
-    def release(self) -> None:
-        """Drop the references this instance holds on its operands."""
-        for sub in self.ops:
-            sub.refs -= 1
-
-    def follow(self) -> None:
-        """Point references at folded operand instances to their survivors."""
-        self.ops = [sub.forward or sub for sub in self.ops]
 
 
 def _settled(value: TruthValue) -> _Instance:
-    inst = _Instance(-1, K_TRUE, _PLAIN)
+    inst = _Instance(_PLAIN)
     inst.value = value
     inst.resolved = True
     return inst
 
 
-# Shared stand-ins for an until operand that resolved; their `refs` is never read.
+# Shared stand-ins for an until operand that resolved; never live themselves.
 _T = _settled(TRUE)
 _F = _settled(FALSE)
 
@@ -136,7 +114,6 @@ def _decide_until(inst: _Instance, at_end: bool) -> TruthValue:
     pairs = iter(inst.ops)
     kept: list[_Instance] = []
     entries: list[tuple[_Instance, _Instance]] = []
-    dropped: list[_Instance] = []
     chain_broken = False
     chain_pending = False
     live = False
@@ -148,14 +125,13 @@ def _decide_until(inst: _Instance, at_end: bool) -> TruthValue:
             right = _T if right.value.kind == "T" else _F
         entry = (left, right)
         if chain_broken or (left is _T and right is _F) or entry in entries:
-            dropped += entry
             continue
         entries.append(entry)
         kept += entry
         if right is _T:
             if not chain_pending:
-                # confirmed witness with a fully true chain; `ops` stays
-                # whole, so pruning the until releases every reference
+                # confirmed witness with a fully true chain; the until is
+                # pruned, and with it whatever only it reached
                 return TRUE
             blocked_witness = True
             live = True
@@ -168,8 +144,6 @@ def _decide_until(inst: _Instance, at_end: bool) -> TruthValue:
     # in modes A and B the last entry read is the current cell's
     current_open = right is _F and not left.resolved
     inst.ops = kept
-    for sub in dropped:
-        sub.refs -= 1
     if not live and (at_end or chain_broken):
         return FALSE
     if blocked_witness:
@@ -236,7 +210,6 @@ class Monitor:
         self._live: list[dict[int, _Instance]] = [{} for _ in system.nodes]  # fid -> epoch -> instance
         self._crowded = False  # some subformula may have two live instances
         self._root = self._spawn(system.root, 0)
-        self._root.refs += 1
         self._state: tuple | None = self.active()  # the next cell's state_before, if `step` made this state
 
     # -- state inspection ---------------------------------------------------
@@ -280,19 +253,18 @@ class Monitor:
                 self._crowded = True
             sub = nodes[sub_fid]
             code = sub.code
-            inst = insts[epoch] = _Instance(epoch, code, name.mode)
+            inst = insts[epoch] = _Instance(name.mode)
             if code >= K_OR and code != K_NEXT and code != K_WEAKNEXT:  # a next reads from the next cell on
                 ops = inst.ops = [live[sub.left][epoch]]
                 if sub.right is not None:
                     ops.append(live[sub.right][epoch])
-                for op in ops:
-                    op.refs += 1
         return live[fid][epoch]
 
     def clone(self) -> Monitor:
         """An independent copy of this monitor between cells: the live
-        instance graph with its sharing and reference counts, the shared
-        `_T`/`_F` stand-ins and the same `RuleSystem`.  Stepping either one
+        instance graph with its modes and sharing, the shared `_T`/`_F`
+        stand-ins and the same `RuleSystem`.  Values are not copied, as the
+        next cell computes each before it is read.  Stepping either one
         leaves the other as it was."""
         twin = object.__new__(Monitor)
         twin.system = self.system
@@ -307,9 +279,7 @@ class Monitor:
         for insts in self._live:  # operands carry smaller ids, so they are copied first
             mine = {}
             for epoch, inst in insts.items():
-                copy = copies[inst] = mine[epoch] = _Instance(epoch, inst.code, inst.mode)
-                copy.value = inst.value
-                copy.refs = inst.refs
+                copy = copies[inst] = mine[epoch] = _Instance(inst.mode)
                 ops = inst.ops
                 copy.ops = [copies[sub] for sub in ops] if ops.__class__ is list else ops
             live.append(mine)
@@ -417,14 +387,18 @@ class Monitor:
     # -- between cells ---------------------------------------------------------
 
     def _prune(self) -> None:
-        """Drop resolved instances and those no live parent holds, parents
-        first, so that operands orphaned on the way go in the same pass."""
+        """Keep only the unresolved instances the root reaches through
+        unresolved ones.  Operands carry smaller ids than their parents, so
+        one sweep from the root's id down sees every parent first."""
         crowded = False
+        held = {self._root}
         for insts in reversed(self._live):
             if insts:
-                dead = [epoch for epoch, inst in insts.items() if inst.resolved or not inst.refs]
-                for epoch in dead:
-                    insts.pop(epoch).release()
+                for epoch, inst in list(insts.items()):
+                    if inst.resolved or inst not in held:
+                        del insts[epoch]
+                    else:
+                        held.update(inst.ops)
                 if len(insts) > 1:
                     crowded = True
         self._crowded = crowded
@@ -443,36 +417,34 @@ class Monitor:
                     mode = inst.value.mode
                     if mode is not inst.mode:  # to L or R: stop reading the decided operand
                         inst.mode = mode
-                        inst.ops.pop(1 if mode is _L else 0).refs -= 1
+                        inst.ops.pop(1 if mode is _L else 0)
             elif code == K_UNTIL:
                 left, right = node.left, node.right
                 for inst in insts.values():
                     mode = inst.mode = inst.value.mode
                     if mode is not _L and mode is not _R:  # in L and R no later cell can witness it
-                        sub_l = spawn(left, nxt)
-                        sub_r = spawn(right, nxt)
-                        sub_l.refs += 1
-                        sub_r.refs += 1
-                        inst.ops += (sub_l, sub_r)
+                        inst.ops += (spawn(left, nxt), spawn(right, nxt))
             elif code == K_EVENTUALLY or code == K_ALWAYS:
                 operand = node.left
                 for inst in insts.values():
-                    sub = spawn(operand, nxt)
-                    sub.refs += 1
-                    inst.ops.append(sub)
+                    inst.ops.append(spawn(operand, nxt))
             elif code == K_NEXT or code == K_WEAKNEXT:  # leaves never outlive their cell
                 operand = node.left
                 for inst in insts.values():
                     if inst.mode is _PLAIN:
                         inst.mode = _M
-                        sub = spawn(operand, nxt)
-                        sub.refs += 1
-                        inst.ops = [sub]
+                        inst.ops = [spawn(operand, nxt)]
 
     def _merge(self) -> tuple[tuple[int, int], ...]:
-        """Fold instances of one subformula with equal keys into the oldest,
-        bottom-up, so that parents compare their operands' survivors;
-        returns the (fid, epoch) of the folded instances."""
+        """Fold instances of one subformula with identical futures into the
+        oldest, bottom-up, so that parents compare their operands' survivors;
+        returns the (fid, epoch) of the folded instances.
+
+        Identical futures means the same mode reading the same operand
+        instances (for an eventually or always, the same set of them).
+        Leaves never have two live instances, as each resolves in its spawn
+        cell."""
+        forward: dict[_Instance, _Instance] = {}  # folded instance -> its survivor
         folded: set[int] = set()
         gone: list[tuple[int, int]] = []
         for fid, (node, insts) in enumerate(zip(self._nodes, self._live)):
@@ -480,16 +452,16 @@ class Monitor:
                 continue
             if folded and (node.left in folded or node.right in folded):
                 for inst in insts.values():
-                    inst.follow()
+                    inst.ops = [forward.get(sub, sub) for sub in inst.ops]
             if len(insts) < 2:
                 continue
+            as_set = node.code == K_EVENTUALLY or node.code == K_ALWAYS
             survivors: dict = {}
             for epoch, inst in list(insts.items()):
-                survivor = survivors.setdefault(inst.key(), inst)
+                key = frozenset(inst.ops) if as_set else (inst.mode, tuple(inst.ops))
+                survivor = survivors.setdefault(key, inst)
                 if survivor is not inst:
-                    survivor.refs += inst.refs
-                    inst.forward = survivor
-                    inst.release()
+                    forward[inst] = survivor
                     del insts[epoch]
                     folded.add(fid)
                     gone.append((fid, epoch))
@@ -503,9 +475,7 @@ def _aggregate(inst: _Instance, want: bool) -> TruthValue:
     pending: list[_Instance] = []
     for sub in inst.ops:
         if not sub.resolved:
-            if sub in pending:  # two operands folded into one
-                sub.refs -= 1
-            else:
+            if sub not in pending:  # two operands may have folded into one
                 pending.append(sub)
         elif (sub.value.kind == "T") is want:
             return TRUE if want else FALSE

@@ -121,6 +121,8 @@ class GenParams:
             raise ValueError("atom alphabet must be nonempty")
         for a in self.atoms:
             _check_atom(a, "alphabet")
+        if len(set(self.atoms)) < len(self.atoms):
+            raise ValueError("atom alphabet repeats a name")
         if self.length < 1:
             raise ValueError("trace length must be >= 1")
         if not 0.0 <= self.density <= 1.0:

@@ -216,6 +216,14 @@ class TestGen:
     def test_invalid_density_exits_2(self, capsys):
         assert main(["gen", "--atoms", "a", "--length", "3", "--density", "1.5", "--seed", "0"]) == 2
 
+    @pytest.mark.parametrize("atoms", ["a,a", "a,b, a"])
+    def test_repeated_atom_exits_2(self, capsys, atoms):
+        """A repeated name would get a draw per copy, raising its density."""
+        assert main(["gen", "--atoms", atoms, "--length", "3", "--density", "0.3", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "alphabet: atom name 'a' given more than once" in captured.err
+        assert captured.out == ""
+
 
 class TestDiff:
     def test_clean_small_sweep(self, capsys):
@@ -257,7 +265,7 @@ class TestDiff:
         assert flag in captured.err
         assert "comparisons" not in captured.out
 
-    @pytest.mark.parametrize("atoms", ["A,b", ",", "END"])
+    @pytest.mark.parametrize("atoms", ["A,b", ",", "END", "a,a", "a,b,a"])
     def test_invalid_alphabet_rejected(self, capsys, atoms):
         assert main(["diff", "--max-depth", "1", "--traces", "2", "--atoms", atoms]) == 2
         captured = capsys.readouterr()

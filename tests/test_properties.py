@@ -1,15 +1,17 @@
 """Property tests: every way to a verdict agrees, and agrees with the oracle;
 `rulerunner stream` survives malformed input.
 
-`run_trace`, `Monitor.advance`, the cached monitor and `rulerunner stream`
-must give the same verdict on every trace, and the same deciding cell; the
-verdict must be the finite-trace semantics', and after every cell no two of
-the monitor's live instances of one subformula have the same future.  Hypothesis
-draws formulae of depth <= 4 over a, b and traces of up to 60 cells that
-may hold an off-alphabet `c`, and shrinks a failure to a minimal
-counterexample.  The examples are derandomized and their number fixed, so
-the tests are deterministic; together they take about 15 s on a 2-core
-machine.
+`run_trace`, `Monitor.advance`, a `Monitor.clone()` taken at a drawn cell
+and resumed with `advance`, the cached monitor and `rulerunner stream` must
+give the same verdict on every trace, and the same deciding cell; the
+verdict must be the finite-trace semantics', an early verdict must not
+change when the trace goes on past it, and after every cell no two of the
+monitor's live instances of one subformula have the same future.
+Hypothesis draws formulae of depth <= 4 over a, b, c and traces of up to
+60 cells that may hold an off-alphabet `d`, and shrinks a failure to a
+minimal counterexample.  The examples are derandomized and their number
+fixed, so the tests are deterministic; together they take about 18 s on a
+2-core machine.
 """
 
 import io
@@ -41,7 +43,7 @@ from rulerunner import (
 )
 from rulerunner.cli import main
 
-LEAVES = st.sampled_from([TrueConst(), Atom("a"), Atom("b"), NegAtom("a"), NegAtom("b")])
+LEAVES = st.sampled_from([TrueConst(), *(op(x) for x in "abc" for op in (Atom, NegAtom))])
 
 
 def formulas(depth: int):
@@ -57,7 +59,7 @@ def formulas(depth: int):
 
 # a drawn length, as plain lists of up to 60 cells are mostly a few cells long
 CELLS = st.integers(1, 60).flatmap(
-    lambda n: st.lists(st.frozensets(st.sampled_from("abc")), min_size=n, max_size=n)
+    lambda n: st.lists(st.frozensets(st.sampled_from("abcd")), min_size=n, max_size=n)
 )
 
 
@@ -73,12 +75,15 @@ def assert_folded(monitor: Monitor) -> None:
         keys.add(key)
 
 
-def advance(system, cells) -> tuple[Verdict, int]:
-    """Verdict and deciding cell of a `Monitor` fed `cells` by `advance`;
-    checks after every undecided cell that equivalent instances were folded,
-    which bounds the live state by the formula alone."""
+def advance(system, cells, clone_at: int = -1) -> tuple[Verdict, int]:
+    """Verdict and deciding cell of a `Monitor` fed `cells` by `advance`,
+    going on from a clone of it before cell `clone_at`; checks after every
+    undecided cell that equivalent instances were folded, which bounds the
+    live state by the formula alone."""
     monitor = Monitor(system)
     for i, cell in enumerate(cells):
+        if i == clone_at:
+            monitor = monitor.clone()
         verdict = monitor.advance(cell, is_last=i == len(cells) - 1)
         if verdict is not Verdict.UNDECIDED:
             return verdict, i
@@ -104,15 +109,20 @@ def stream(formula: str, cells, close: str) -> tuple[Verdict, int]:
 
 
 @settings(derandomize=True, max_examples=600, deadline=None)
-@given(formulas(4), CELLS, st.sampled_from(["$end\n", ""]))
-def test_every_verdict_path_agrees_with_the_oracle(f, cells, close):
+@given(formulas(4), CELLS, st.sampled_from(["$end\n", ""]), st.integers(0, 59), CELLS)
+def test_every_verdict_path_agrees_with_the_oracle(f, cells, close, clone_at, suffix):
     system = compile_formula(f)
     result = run_trace(system, Trace(tuple(cells)))
     expected = (result.verdict, result.deciding_cell)
     assert advance(system, cells) == expected
+    assert advance(system, cells, clone_at % (result.deciding_cell + 1)) == expected
     assert CachedMonitor(system).run(cells) == expected
     assert stream(format_formula(f), cells, close) == expected
     assert (result.verdict is Verdict.SUCCESS) == oracle_eval(f, Trace(tuple(cells)), 0)
+    decided = result.deciding_cell
+    if decided < len(cells) - 1:  # an early verdict holds whatever follows its cell
+        extended = run_trace(system, Trace(tuple(cells[: decided + 1] + suffix)))
+        assert (extended.verdict, extended.deciding_cell) == expected
 
 
 # stream lines: a well-formed line is one cell in trace-file syntax; a

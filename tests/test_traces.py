@@ -125,6 +125,8 @@ class TestGenerator:
             dict(atoms=("a",), length=3, density=-0.1, seed=0),
             dict(atoms=("a",), length=3, density=0.5, seed=0, count=0),
             dict(atoms=("END",), length=3, density=0.5, seed=0),
+            dict(atoms=("a", "a"), length=3, density=0.5, seed=0),
+            dict(atoms=("a", "b", "a"), length=3, density=0.5, seed=0),
         ],
     )
     def test_invalid_params(self, kwargs):
