@@ -19,8 +19,8 @@ from .traces import (
     GenParams,
     Trace,
     TraceError,
-    _check_atom,
     _parse_cell,
+    check_alphabet,
     format_trace_file,
     format_trace_inline,
     gen_traces,
@@ -49,16 +49,9 @@ def _load_trace(args) -> Trace:
         raise TraceError(f"{args.trace_file}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _parse_atoms(text: str) -> tuple[str, ...]:
-    """The comma-separated `--atoms` alphabet: nonempty, each name a valid
-    observation name given once."""
-    atoms = tuple(_check_atom(a.strip(), "alphabet") for a in text.split(",") if a.strip())
-    if not atoms:
-        raise TraceError("alphabet: no atom names given")
-    for i, a in enumerate(atoms):
-        if a in atoms[:i]:
-            raise TraceError(f"alphabet: atom name {a!r} given more than once")
-    return atoms
+def _atom_names(text: str) -> tuple[str, ...]:
+    """The names of a comma-separated `--atoms` alphabet, not yet checked."""
+    return tuple(a.strip() for a in text.split(",") if a.strip())
 
 
 def cmd_compile(args) -> int:
@@ -114,7 +107,7 @@ def cmd_stream(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    atoms = _parse_atoms(args.atoms)
+    atoms = _atom_names(args.atoms)
     try:
         params = GenParams(atoms=atoms, length=args.length, density=args.density, seed=args.seed, count=args.count)
     except ValueError as exc:
@@ -174,7 +167,7 @@ def cmd_diff(args) -> int:
         if value is not None and value < least:
             print(f"invalid diff parameters: {flag} must be >= {least}", file=sys.stderr)
             return EXIT_USAGE
-    atoms = _parse_atoms(args.atoms)
+    atoms = check_alphabet(_atom_names(args.atoms))
     space = _formula_space_size(args.max_depth, len(atoms))
     if space > 200_000:
         # full enumeration is out of reach; fall back to seeded sampling

@@ -39,7 +39,8 @@ nothing.  `Monitor.clone` copies the live state between cells.  Since the
 live state is bounded and folded, a formula's monitor has few distinct
 states: `CachedMonitor` builds the finite automaton over them lazily, one
 transition per (state, letter) from a clone of the state's representative
-monitor, and steps by table lookup after that, up to `NODE_CAP` states.
+monitor, and steps by table lookup after that.  It keeps at most `NODE_CAP`
+states; one found past the cap is handed out without being kept.
 """
 
 from __future__ import annotations
@@ -208,7 +209,6 @@ class Monitor:
         self._nodes = system.nodes
         self._init_sets = system.init_sets
         self._live: list[dict[int, _Instance]] = [{} for _ in system.nodes]  # fid -> epoch -> instance
-        self._crowded = False  # some subformula may have two live instances
         self._root = self._spawn(system.root, 0)
         self._state: tuple | None = self.active()  # the next cell's state_before, if `step` made this state
 
@@ -249,8 +249,6 @@ class Monitor:
             insts = live[sub_fid]
             if epoch in insts:
                 continue
-            if insts:
-                self._crowded = True
             sub = nodes[sub_fid]
             code = sub.code
             inst = insts[epoch] = _Instance(name.mode)
@@ -272,7 +270,6 @@ class Monitor:
         twin.verdict = self.verdict
         twin._nodes = self._nodes
         twin._init_sets = self._init_sets
-        twin._crowded = self._crowded
         twin._state = self._state
         copies: dict[_Instance, _Instance] = {_T: _T, _F: _F}
         live = twin._live = []
@@ -358,7 +355,7 @@ class Monitor:
         if kind == "?":
             self._prune()
             self._reactivate(self.cell)
-            return self._merge() if self._crowded else ()
+            return self._merge()
         self.verdict = Verdict.SUCCESS if kind == "T" else Verdict.FAILURE
         return ()
 
@@ -390,7 +387,6 @@ class Monitor:
         """Keep only the unresolved instances the root reaches through
         unresolved ones.  Operands carry smaller ids than their parents, so
         one sweep from the root's id down sees every parent first."""
-        crowded = False
         held = {self._root}
         for insts in reversed(self._live):
             if insts:
@@ -399,9 +395,6 @@ class Monitor:
                         del insts[epoch]
                     else:
                         held.update(inst.ops)
-                if len(insts) > 1:
-                    crowded = True
-        self._crowded = crowded
 
     def _reactivate(self, nxt: int) -> None:
         # children carry smaller ids, so instances spawned here land in
@@ -505,8 +498,8 @@ def run_trace(system: RuleSystem, trace: Trace) -> RunResult:
 # verdict cache
 
 
-# Most states a CachedMonitor keeps; a walk that would need one more steps
-# plain monitors from there.
+# Most states a CachedMonitor keeps; a state found past it is handed out
+# without being kept.
 NODE_CAP = 1024
 
 
@@ -527,7 +520,8 @@ def _state_key(monitor: Monitor) -> tuple:
 
 class _Node:
     """One state of the cached automaton: a representative monitor in it,
-    which is only ever cloned, and the transitions found so far."""
+    which is only ever cloned, and the transitions found so far.  A kept
+    node's `next` holds only kept nodes and verdicts."""
 
     __slots__ = ("monitor", "next", "end")
 
@@ -545,9 +539,12 @@ class CachedMonitor:
     cell intersected with the formula's atoms.  A transition not yet known
     is found by cloning the state's representative monitor and advancing the
     clone one cell, so every verdict comes from the rule monitor itself.
-    Past `NODE_CAP` states, `next` hands out plain monitors and steps a clone
-    of one per cell.  States are immutable: `next` and `end` never change
-    the state they are given, so a caller may keep an earlier one."""
+    Past `NODE_CAP` states, a new state is handed out without being kept,
+    and a kept state records a transition only to a kept state or a verdict,
+    so memory stays bounded; a walk through unkept states goes back onto the
+    kept ones as soon as it reaches one of them.  States are immutable:
+    `next` and `end` never change the state they are given, so a caller may
+    keep an earlier one."""
 
     def __init__(self, system: RuleSystem):
         self._atoms = frozenset(node.atom for node in system.nodes if node.atom is not None)
@@ -556,23 +553,17 @@ class CachedMonitor:
         self._nodes = {_state_key(first): self.initial}
 
     def __len__(self) -> int:
-        """The number of states built so far."""
+        """The number of states kept so far."""
         return len(self._nodes)
 
-    def next(self, state: _Node | Monitor, cell) -> _Node | Monitor | Verdict:
+    def next(self, state: _Node, cell) -> _Node | Verdict:
         """The state after `cell` when more cells follow, or the verdict
         reached there."""
-        if state.__class__ is Monitor:
-            monitor = state.clone()
-            verdict = monitor.advance(cell)
-            return monitor if verdict is Verdict.UNDECIDED else verdict
         letter = self._atoms.intersection(cell)
         return state.next.get(letter) or self._miss(state, letter)
 
-    def end(self, state: _Node | Monitor, cell) -> Verdict:
+    def end(self, state: _Node, cell) -> Verdict:
         """The verdict of a trace that ends with `cell` after `state`."""
-        if state.__class__ is Monitor:
-            return state.clone().advance(cell, is_last=True)
         letter = self._atoms.intersection(cell)
         verdict = state.end.get(letter)
         if verdict is None:
@@ -586,17 +577,14 @@ class CachedMonitor:
         last = len(cells) - 1
         atoms = self._atoms
         state = self.initial
-        for i in range(last):
-            if state.__class__ is _Node:  # `next`, inlined for the common case
-                letter = atoms.intersection(cells[i])
-                state = state.next.get(letter) or self._miss(state, letter)
-            else:
-                state = self.next(state, cells[i])
+        for i in range(last):  # `next`, inlined
+            letter = atoms.intersection(cells[i])
+            state = state.next.get(letter) or self._miss(state, letter)
             if state.__class__ is Verdict:
                 return state, i
         return self.end(state, cells[last]), last
 
-    def _miss(self, node: _Node, letter: frozenset[str]) -> _Node | Monitor | Verdict:
+    def _miss(self, node: _Node, letter: frozenset[str]) -> _Node | Verdict:
         monitor = node.monitor.clone()
         verdict = monitor.advance(letter)
         if verdict is not Verdict.UNDECIDED:
@@ -606,7 +594,7 @@ class CachedMonitor:
         target = self._nodes.get(key)
         if target is None:
             if len(self._nodes) >= NODE_CAP:
-                return monitor
+                return _Node(monitor)
             target = self._nodes[key] = _Node(monitor)
         node.next[letter] = target
         return target

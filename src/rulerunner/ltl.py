@@ -304,8 +304,6 @@ class SubformulaIndex:
     """Distinct subformulae in post-order; children receive smaller ids."""
 
     def __init__(self, root: Formula):
-        if not is_nnf(root):
-            raise NnfError("subformula indexing requires NNF input")
         self.formulas: list[Formula] = []
         self.ids: dict[Formula, int] = {}
         self._texts: list[str] = []
@@ -315,6 +313,8 @@ class SubformulaIndex:
     def _collect(self, f: Formula) -> None:
         if f in self.ids:
             return
+        if isinstance(f, Not):
+            raise NnfError("subformula indexing requires NNF input")
         if isinstance(f, (Or, And, Until)):
             self._collect(f.left)
             self._collect(f.right)

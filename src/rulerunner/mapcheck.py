@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .engine import Monitor, Verdict, _eval_tokens, _rule_tokens
-from .ltl import Formula, Next, NnfError, WeakNext, format_formula, is_nnf
+from .ltl import Formula, Next, WeakNext, format_formula
 from .oracle import BOTTOM, TOP, JAnd, JLeaf, JOr, Judgement, eval_judgement
 from .rules import RuleSystem, compile_formula
 from .traces import Trace, format_trace_inline
@@ -125,9 +125,8 @@ def check_run(f: Formula, u: Trace) -> CheckReport:
 
     The states are the base state, then per cell the state with the cell's
     observations added, one state per evaluation, and the reactivated state
-    or, once a verdict is reached, the terminal one."""
-    if not is_nnf(f):
-        raise NnfError("check_run requires an NNF formula")
+    or, once a verdict is reached, the terminal one.  A formula not in NNF
+    raises `NnfError`, from `compile_formula`."""
     system = compile_formula(f)
     monitor = Monitor(system)
     graph = monitor.instances()

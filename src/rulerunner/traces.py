@@ -53,6 +53,19 @@ def _check_atom(name: str, where: str) -> str:
     return name
 
 
+def check_alphabet(atoms: tuple[str, ...]) -> tuple[str, ...]:
+    """An atom alphabet as given: nonempty, each name a valid observation
+    name given once."""
+    for a in atoms:
+        _check_atom(a, "alphabet")
+    if not atoms:
+        raise TraceError("alphabet: no atom names given")
+    for i, a in enumerate(atoms):
+        if a in atoms[:i]:
+            raise TraceError(f"alphabet: atom name {a!r} given more than once")
+    return atoms
+
+
 def _parse_cell(text: str, where: str) -> frozenset[str]:
     text = text.strip()
     if text == "." or not text:
@@ -117,12 +130,7 @@ class GenParams:
     count: int = 1
 
     def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ValueError("atom alphabet must be nonempty")
-        for a in self.atoms:
-            _check_atom(a, "alphabet")
-        if len(set(self.atoms)) < len(self.atoms):
-            raise ValueError("atom alphabet repeats a name")
+        check_alphabet(self.atoms)
         if self.length < 1:
             raise ValueError("trace length must be >= 1")
         if not 0.0 <= self.density <= 1.0:

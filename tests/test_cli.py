@@ -138,8 +138,8 @@ class TestStream:
 
 class TestStreamPastNodeCap:
     def test_verdicts_match_run_with_a_cap_of_one(self, capsys, monkeypatch):
-        """With room for one automaton state, `stream` walks plain monitors
-        and still ends with the verdict `run` gives."""
+        """With room for one automaton state, `stream` walks states the
+        cache does not keep and still ends with the verdict `run` gives."""
         from rulerunner import engine
 
         monkeypatch.setattr(engine, "NODE_CAP", 1)

@@ -457,14 +457,17 @@ class TestClone:
 
 class TestCachedMonitor:
     @pytest.mark.parametrize("cap", [1, 3])
-    def test_small_cap_falls_back_to_plain_monitors(self, monkeypatch, cap):
+    def test_small_cap_hands_out_more_states_than_it_keeps(self, monkeypatch, cap):
+        """Past the cap, states are handed out without being kept, and the
+        verdicts stay those of `run_trace`."""
         monkeypatch.setattr(engine, "NODE_CAP", cap)
         rng = random.Random(cap)
-        plain = 0
+        beyond = 0
         for k in range(150):
             f = random_formula(3 + k % 2, ["a", "b"], rng)
             system = compile_formula(f)
             cache = CachedMonitor(system)
+            handed_out = {cache.initial}
             for _ in range(4):
                 _, cells = random_run(rng, 0, rng.randint(1, 40), "abc")
                 result = run_trace(system, Trace(cells))
@@ -475,8 +478,18 @@ class TestCachedMonitor:
                     state = cache.next(state, cell)
                     if isinstance(state, Verdict):
                         break
-                    plain += isinstance(state, Monitor)
-        assert plain > 100  # the fallback ran
+                    handed_out.add(state)
+            beyond += len(handed_out) > cap
+            kept = set(cache._nodes.values())
+            for node in kept:  # no kept state leads to an unkept one
+                assert all(target in kept or isinstance(target, Verdict) for target in node.next.values())
+        assert beyond > 20  # walks went past the cap
+
+    def test_walk_past_the_cap_reenters_kept_states(self, monkeypatch):
+        monkeypatch.setattr(engine, "NODE_CAP", 1)
+        cache = CachedMonitor(system_for("G (a | X b)"))
+        assert cache.next(cache.next(cache.initial, set()), {"a", "b"}) is cache.initial
+        assert len(cache) == 1
 
     def test_states_are_never_stepped(self):
         """`next` and `end` leave the state they are given as it was."""

@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from rulerunner import (
+    NnfError,
     Trace,
     Verdict,
     check_run,
@@ -204,3 +207,9 @@ class TestRandomRuns:
         assert report.verdict is Verdict.SUCCESS
         assert not report.passed
         assert report.violation_at == 0
+
+
+def test_formula_not_in_nnf_rejected():
+    """`check_run` takes an NNF formula; one not normalised is refused."""
+    with pytest.raises(NnfError):
+        check_run(parse_formula("!(a | b)"), parse_trace_inline("[a]"))

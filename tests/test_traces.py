@@ -133,6 +133,12 @@ class TestGenerator:
         with pytest.raises(ValueError):
             GenParams(**kwargs)
 
+    def test_alphabet_errors_are_the_cli_messages(self):
+        with pytest.raises(TraceError, match="alphabet: atom name 'a' given more than once"):
+            GenParams(("a", "b", "a"), 3, 0.5, 0)
+        with pytest.raises(TraceError, match="alphabet: no atom names given"):
+            GenParams((), 3, 0.5, 0)
+
 
 def test_trace_must_be_nonempty():
     with pytest.raises(TraceError):
