@@ -27,7 +27,6 @@ from .ltl import (
     TrueConst,
     Until,
     WeakNext,
-    atoms_of,
     format_formula,
     is_nnf,
     parse_formula,
@@ -96,7 +95,6 @@ __all__ = [
     "Until",
     "Verdict",
     "WeakNext",
-    "atoms_of",
     "check_run",
     "compile_formula",
     "dump_rules",

@@ -75,12 +75,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    """One cell per stdin line, in trace-file cell syntax; a line that is
-    not exactly one cell is skipped with a diagnostic.  `$end` announces
-    that the trace is over (an online monitor cannot see the last cell
-    coming, so the event source must say so).  EOF counts as `$end`.  A
-    trace closed before any cell is monitored as one empty cell, so `G a`
-    fails and `W a` succeeds on empty input.
+    """One cell per stdin line, in trace-file cell syntax: a ``#`` line is a
+    comment, and a line that is not exactly one cell is skipped with a
+    diagnostic.  `$end` announces that the trace is over (an online monitor
+    cannot see the last cell coming, so the event source must say so).  EOF
+    counts as `$end`.  A trace closed before any cell is monitored as one
+    empty cell, so `G a` fails and `W a` succeeds on empty input.
 
     The monitor walks a `CachedMonitor` and keeps the state before the
     latest cell, so the end verdict is that state's transition on the
@@ -94,7 +94,8 @@ def cmd_stream(args) -> int:
         try:
             cell = _parse_cell(line, f"line {lineno}")
         except TraceError as exc:
-            print(f"skipped malformed cell: {exc}", file=sys.stderr)
+            if not line.lstrip().startswith("#"):  # a comment, as in trace files; never a cell
+                print(f"skipped malformed cell: {exc}", file=sys.stderr)
             continue
         before, state = state, cache.next(state, cell)
         if isinstance(state, Verdict):
@@ -149,10 +150,18 @@ def run_differential(
     return comparisons, mismatches
 
 
+# Most formulae `diff` enumerates; past it, `diff` samples `--limit` of them.
+ENUMERATION_CAP = 200_000
+
+
 def _formula_space_size(max_depth: int, atoms: int) -> int:
+    """The number of formulae of operator depth at most `max_depth`, or, once
+    the count passes `ENUMERATION_CAP`, the first count that does."""
     n = 1 + 2 * atoms  # true, atoms, negated atoms
     leaves = n
     for _ in range(max_depth):
+        if n > ENUMERATION_CAP:
+            break
         n = leaves + 4 * n + 3 * n * n
     return n
 
@@ -168,12 +177,12 @@ def cmd_diff(args) -> int:
             print(f"invalid diff parameters: {flag} must be >= {least}", file=sys.stderr)
             return EXIT_USAGE
     atoms = check_alphabet(_atom_names(args.atoms))
-    space = _formula_space_size(args.max_depth, len(atoms))
-    if space > 200_000:
+    if _formula_space_size(args.max_depth, len(atoms)) > ENUMERATION_CAP:
         # full enumeration is out of reach; fall back to seeded sampling
         if args.limit is None:
             print(
-                f"error: {space} distinct formulae at depth {args.max_depth}; pass --limit to sample",
+                f"error: more than {ENUMERATION_CAP} distinct formulae at depth {args.max_depth};"
+                " pass --limit to sample",
                 file=sys.stderr,
             )
             return EXIT_USAGE
@@ -242,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, NnfError, TraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_INTERNAL

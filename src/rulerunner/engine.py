@@ -18,23 +18,22 @@ its subformula, names the oldest spawn cell of the class of equivalent
 instances it stands for; instances of one subformula are listed, fired
 and rendered in epoch order, and tagged ``@epoch`` when several are live.
 
-A cell is processed in four phases, firing each live instance once in
-compiled (post-order) order.  Observations are added and truth values are
-computed bottom-up.  Only the unresolved instances that the root reaches
-through unresolved ones are kept, found by one sweep from the root down,
-so an instance nobody reads is never stepped again.  Undecided instances
-reactivate for the next cell, spawning fresh operand instances, except an
-until that no later cell can witness (mode L or R).  Last, instances of
-one subformula whose futures are identical -- same mode and the same
-operand list -- are folded into the oldest one, so `explain` and
+A cell is processed in three passes.  Firing gives each live instance its
+value once, in compiled (post-order) order, from the observations up.  One
+sweep from the root down then drops each instance that is resolved or that
+the root no longer reaches through unresolved ones, so it is never stepped
+again, and reactivates each kept one for the next cell, spawning fresh
+operand instances, except an until that no later cell can witness (mode L
+or R).  Last, instances of one subformula with identical futures -- same
+mode, same operand list -- are folded into the oldest one, so `explain` and
 `StepOutcome.to_dict()` show one row per class.  With operand instances
 folded bottom-up, the live state is bounded by the formula alone, whatever
 the trace length; for formulae whose temporal operators have purely
-propositional operands at most one instance per subformula is ever live
-and the flat rule-set behaviour is recovered exactly.
+propositional operands at most one instance per subformula is ever live and
+the flat rule-set behaviour is recovered exactly.
 
 `Monitor.step` records each cell (`StepOutcome`, for `explain`, `to_dict`
-and `mapcheck`); `Monitor.advance` runs the same phases and records
+and `mapcheck`); `Monitor.advance` runs the same passes and records
 nothing.  `Monitor.clone` copies the live state between cells.  Since the
 live state is bounded and folded, a formula's monitor has few distinct
 states: `CachedMonitor` builds the finite automaton over them lazily, one
@@ -288,7 +287,7 @@ class Monitor:
         the verdict so far."""
         if self.finished:
             raise MonitorError("monitor already produced a verdict; the trace beyond it is ignored")
-        self._fire(frozenset(observations), is_last, None)
+        self._fire(frozenset(observations), is_last)
         self._settle()
         self._state = None
         return self.verdict
@@ -301,8 +300,10 @@ class Monitor:
         obs = frozenset(observations)
         cell = self.cell
         state_before = self._state or self.active()
-        evaluations: list[tuple[int, int, TruthValue]] = []
-        self._fire(obs, is_last, evaluations.append)
+        self._fire(obs, is_last)
+        evaluations = tuple(
+            [(fid, epoch, inst.value) for fid, insts in enumerate(self._live) for epoch, inst in insts.items()]
+        )
         folded = self._settle()
         state_after = self._state = None if self.verdict is not _UNDECIDED else self.active()
         return StepOutcome(
@@ -311,14 +312,13 @@ class Monitor:
             verdict=self.verdict,
             state_before=state_before,
             observations=tuple(sorted(obs)),
-            evaluations=tuple(evaluations),
+            evaluations=evaluations,
             state_after=state_after,
             folded=folded,
         )
 
-    def _fire(self, obs: frozenset[str], is_last: bool, record) -> None:
-        """Give every live instance its value this cell, operands first,
-        passing each (fid, epoch, value) to `record` unless it is None."""
+    def _fire(self, obs: frozenset[str], is_last: bool) -> None:
+        """Give every live instance its value this cell, operands first."""
         evaluate = self._evaluate
         nodes = self._nodes
         for fid, insts in enumerate(self._live):
@@ -333,19 +333,15 @@ class Monitor:
                     value = FALSE if node.atom in obs else TRUE
                 else:
                     value = TRUE
-                for epoch, inst in insts.items():
+                for inst in insts.values():
                     inst.value = value
                     inst.resolved = True
-                    if record is not None:
-                        record((fid, epoch, value))
                 continue
-            for epoch, inst in insts.items():
+            for inst in insts.values():
                 value = evaluate(node, inst, is_last)
                 inst.value = value
                 if value.kind != "?":
                     inst.resolved = True
-                if record is not None:
-                    record((fid, epoch, value))
 
     def _settle(self) -> tuple[tuple[int, int], ...]:
         """Take the verdict from the root's value and, while undecided, make
@@ -353,7 +349,6 @@ class Monitor:
         self.cell += 1
         kind = self._root.value.kind
         if kind == "?":
-            self._prune()
             self._reactivate(self.cell)
             return self._merge()
         self.verdict = Verdict.SUCCESS if kind == "T" else Verdict.FAILURE
@@ -383,50 +378,40 @@ class Monitor:
 
     # -- between cells ---------------------------------------------------------
 
-    def _prune(self) -> None:
-        """Keep only the unresolved instances the root reaches through
-        unresolved ones.  Operands carry smaller ids than their parents, so
-        one sweep from the root's id down sees every parent first."""
-        held = {self._root}
-        for insts in reversed(self._live):
-            if insts:
-                for epoch, inst in list(insts.items()):
-                    if inst.resolved or inst not in held:
-                        del insts[epoch]
-                    else:
-                        held.update(inst.ops)
-
     def _reactivate(self, nxt: int) -> None:
-        # children carry smaller ids, so instances spawned here land in
-        # maps already passed and are not reactivated themselves
+        """Make the next cell's state from the unresolved instances the root
+        reaches through unresolved ones, dropping the rest: each kept one
+        reactivates in place, spawning fresh operand instances at `nxt`.
+        Operands carry smaller ids than their parents, so one sweep from the
+        root's id down sees every parent first; it passes over the instances
+        it spawned, the only ones with epoch `nxt`."""
         spawn = self._spawn
-        nodes = self._nodes
-        for node, insts in zip(nodes, self._live):
+        held = {self._root}
+        for node, insts in zip(reversed(self._nodes), reversed(self._live)):
             if not insts:
                 continue
             code = node.code
-            if code == K_OR or code == K_AND:
-                for inst in insts.values():
+            for epoch, inst in list(insts.items()):
+                if epoch == nxt:
+                    continue
+                if inst.resolved or inst not in held:
+                    del insts[epoch]
+                    continue
+                if code == K_OR or code == K_AND:
                     mode = inst.value.mode
                     if mode is not inst.mode:  # to L or R: stop reading the decided operand
                         inst.mode = mode
                         inst.ops.pop(1 if mode is _L else 0)
-            elif code == K_UNTIL:
-                left, right = node.left, node.right
-                for inst in insts.values():
+                elif code == K_UNTIL:
                     mode = inst.mode = inst.value.mode
                     if mode is not _L and mode is not _R:  # in L and R no later cell can witness it
-                        inst.ops += (spawn(left, nxt), spawn(right, nxt))
-            elif code == K_EVENTUALLY or code == K_ALWAYS:
-                operand = node.left
-                for inst in insts.values():
-                    inst.ops.append(spawn(operand, nxt))
-            elif code == K_NEXT or code == K_WEAKNEXT:  # leaves never outlive their cell
-                operand = node.left
-                for inst in insts.values():
-                    if inst.mode is _PLAIN:
-                        inst.mode = _M
-                        inst.ops = [spawn(operand, nxt)]
+                        inst.ops += (spawn(node.left, nxt), spawn(node.right, nxt))
+                elif code == K_EVENTUALLY or code == K_ALWAYS:
+                    inst.ops.append(spawn(node.left, nxt))
+                elif inst.mode is _PLAIN:  # a next or weak next; leaves never outlive their cell
+                    inst.mode = _M
+                    inst.ops = [spawn(node.left, nxt)]
+                held.update(inst.ops)
 
     def _merge(self) -> tuple[tuple[int, int], ...]:
         """Fold instances of one subformula with identical futures into the

@@ -333,15 +333,3 @@ class SubformulaIndex:
     def text(self, fid: int) -> str:
         return self._texts[fid]
 
-
-def atoms_of(f: Formula) -> set[str]:
-    """Atom names occurring in the formula (positively or negated)."""
-    if isinstance(f, (Atom, NegAtom)):
-        return {f.name}
-    if isinstance(f, (Or, And, Until)):
-        return atoms_of(f.left) | atoms_of(f.right)
-    if isinstance(f, (Next, WeakNext, Eventually, Always)):
-        return atoms_of(f.sub)
-    if isinstance(f, Not):
-        return atoms_of(f.sub)
-    return set()

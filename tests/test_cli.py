@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rulerunner import truth
-from rulerunner.cli import main
+from rulerunner.cli import ENUMERATION_CAP, _formula_space_size, main
 from rulerunner.truth import FALSE, TRUE
 
 
@@ -91,6 +91,11 @@ class TestRun:
     def test_binary_output_is_single_line(self, capsys):
         main(["run", "G a", "--trace", "[a - a]"])
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("formula", ["(" * 400 + "a" + ")" * 400, "X " * 700 + "a"])
+    def test_formula_nested_too_deeply_exits_2(self, capsys, formula):
+        assert main(["run", formula, "--trace", "a"]) == 2
+        assert capsys.readouterr().err.strip() == "error: formula nested too deeply"
 
 
 class TestStream:
@@ -264,6 +269,11 @@ class TestDiff:
         captured = capsys.readouterr()
         assert flag in captured.err
         assert "comparisons" not in captured.out
+
+    def test_large_depth_samples_without_counting_every_formula(self, capsys):
+        assert _formula_space_size(10**6, 2) > ENUMERATION_CAP
+        assert main(["diff", "--max-depth", "30", "--limit", "2", "--traces", "2"]) == 0
+        assert "mismatches: 0" in capsys.readouterr().out
 
     @pytest.mark.parametrize("atoms", ["A,b", ",", "END", "a,a", "a,b,a"])
     def test_invalid_alphabet_rejected(self, capsys, atoms):

@@ -126,7 +126,8 @@ def test_every_verdict_path_agrees_with_the_oracle(f, cells, close, clone_at, su
 
 
 # stream lines: a well-formed line is one cell in trace-file syntax; a
-# malformed one holds a name the cell syntax rejects
+# malformed one holds a name the cell syntax rejects; a comment starts with
+# `#`, as in trace files, and is skipped silently
 NAMES = st.sampled_from(["a", "b", "c", "x_1"])
 BAD_NAMES = st.sampled_from(["END", "1a", "A", "a-b", "$end2", "#", "é", "a;b"])
 SEPARATORS = st.sampled_from([",", " ", " , ", "\t"])
@@ -136,8 +137,14 @@ WELL_FORMED = st.one_of(
 )
 MALFORMED = st.tuples(st.lists(NAMES, max_size=2), BAD_NAMES, SEPARATORS).map(
     lambda t: t[2].join(t[0] + [t[1]])
+).filter(lambda line: not line.lstrip().startswith("#"))
+COMMENTS = st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(["#", "# a", "#$end", "#END, 1a - b"])).map(
+    "".join
 )
-LINES = st.lists(st.one_of(WELL_FORMED.map(lambda s: (s, True)), MALFORMED.map(lambda s: (s, False))), max_size=30)
+LINE = st.one_of(
+    WELL_FORMED.map(lambda s: (s, True)), MALFORMED.map(lambda s: (s, False)), COMMENTS.map(lambda s: (s, None))
+)
+LINES = st.lists(LINE, max_size=30)
 
 
 def cells_of(lines: list[str]) -> list[frozenset[str]]:
@@ -167,7 +174,7 @@ def test_stream_skips_each_malformed_line_once(f, lines, close):
     read = len(lines)
     if len(out) <= len(good):
         read = [i for i, (_, ok) in enumerate(lines) if ok][len(out) - 1] + 1
-    malformed = [i + 1 for i, (_, ok) in enumerate(lines[:read]) if not ok]
+    malformed = [i + 1 for i, (_, ok) in enumerate(lines[:read]) if ok is False]
     assert len(err) == len(malformed)
     for line, lineno in zip(err, malformed):
         assert line.startswith(f"skipped malformed cell: line {lineno}: ")
