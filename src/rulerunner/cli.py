@@ -92,10 +92,10 @@ def cmd_stream(args) -> int:
         if line.strip() == "$end":
             break
         try:
-            cell = _parse_cell(line, f"line {lineno}")
+            cell = _parse_cell(line)
         except TraceError as exc:
             if not line.lstrip().startswith("#"):  # a comment, as in trace files; never a cell
-                print(f"skipped malformed cell: {exc}", file=sys.stderr)
+                print(f"skipped malformed cell: line {lineno}: {exc}", file=sys.stderr)
             continue
         before, state = state, cache.next(state, cell)
         if isinstance(state, Verdict):

@@ -1,10 +1,10 @@
 """Per-cell monitoring cycle over a compiled rule system.
 
-A `Monitor` steps from the system's own `nodes` and `init_sets` and the
-`truth` tables: it dispatches on each node's `NodeInfo.code`, spawns a
-subformula by activating the rule names of its initial set, and passes the
-node's `kind` to `truth.eval_binary`/`eval_unary`.  It reads no other copy
-of the formula and never the rule listing.
+A `Monitor` steps from the system's own `nodes` and `init_sets` and
+`truth.TABLES`: it dispatches on each node's `NodeInfo.code`, spawns a
+subformula by activating the rule names of its initial set, and reads each
+value off the table of the node's operator and the instance's mode.  It
+reads no other copy of the formula and never the rule listing.
 
 Each activation is an instance of one subformula that holds the operand
 instances it reads, by reference, in one list: an and/or the operands its
@@ -48,10 +48,10 @@ import enum
 from dataclasses import dataclass, field
 
 from . import truth
-from .rules import K_ALWAYS, K_AND, K_ATOM, K_EVENTUALLY, K_NEGATOM, K_NEXT, K_OR, K_TRUE, K_UNTIL, K_WEAKNEXT
+from .rules import K_ALWAYS, K_AND, K_ATOM, K_EVENTUALLY, K_NEGATOM, K_NEXT, K_OR, K_TRUE, K_UNTIL, K_WEAKNEXT, KINDS
 from .rules import NodeInfo, RuleName, RuleSystem
 from .traces import Trace
-from .truth import FALSE, TRUE, UND, EvalMode, TruthValue
+from .truth import FALSE, TRUE, EvalMode, TruthValue
 
 
 class Verdict(enum.Enum):
@@ -69,6 +69,8 @@ class MonitorError(RuntimeError):
 
 _UNDECIDED = Verdict.UNDECIDED
 _PLAIN, _L, _R, _M = EvalMode.PLAIN, EvalMode.L, EvalMode.R, EvalMode.M
+# each node code's tables, in `truth.TABLES` order (initial mode first)
+_TABLES = [tuple(truth.TABLES.get(kind, {}).values()) for kind in KINDS]
 
 
 class _Instance:
@@ -358,23 +360,25 @@ class Monitor:
 
     @staticmethod
     def _evaluate(node: NodeInfo, inst: _Instance, at_end: bool) -> TruthValue:
-        """Value of a non-leaf instance from its operands' values this cell."""
+        """Value of a non-leaf instance from its operands' values this cell: an entry of
+        its mode's `truth.TABLES` table, chosen by `is` tests (an `EvalMode` hashes in Python)."""
         code = node.code
         ops = inst.ops
-        if code == K_OR or code == K_AND:
-            mode = inst.mode
-            if mode is _L:
-                return truth.eval_binary(node.kind, mode, ops[0].value, None)
-            if mode is _R:
-                return truth.eval_binary(node.kind, mode, None, ops[0].value)
-            return truth.eval_binary(node.kind, mode, ops[0].value, ops[1].value)
         if code == K_UNTIL:
             return _decide_until(inst, at_end)
-        if code == K_NEXT or code == K_WEAKNEXT:
-            if inst.mode is _PLAIN:
-                return truth.eval_unary(node.kind, _PLAIN, UND, at_end)
-            return truth.eval_unary(node.kind, _M, ops[0].value, at_end)
-        return truth.eval_unary(node.kind, _PLAIN, _aggregate(inst, code == K_EVENTUALLY), at_end)
+        tables = _TABLES[code]
+        mode = inst.mode
+        if code == K_OR or code == K_AND:  # modes B, L, R
+            if mode is _L:
+                return tables[1][(ops[0].value.kind,)]
+            if mode is _R:
+                return tables[2][(ops[0].value.kind,)]
+            return tables[0][(ops[0].value.kind, ops[1].value.kind)]
+        if code == K_NEXT or code == K_WEAKNEXT:  # modes PLAIN, M
+            if mode is _PLAIN:
+                return tables[0][(at_end,)]
+            return tables[1][(ops[0].value.kind, at_end)]
+        return tables[0][(_aggregate(inst, code == K_EVENTUALLY), at_end)]
 
     # -- between cells ---------------------------------------------------------
 
@@ -446,21 +450,21 @@ class Monitor:
         return tuple(gone)
 
 
-def _aggregate(inst: _Instance, want: bool) -> TruthValue:
-    """Combined operand view of an eventually (`want` True) or always across
-    the operand instances it waits on: one resolved witness decides,
-    otherwise undecided while anything is pending."""
+def _aggregate(inst: _Instance, want: bool) -> str:
+    """Kind of the combined operand view of an eventually (`want` True) or
+    always across the operand instances it waits on: one resolved witness
+    decides, otherwise undecided while anything is pending."""
     pending: list[_Instance] = []
     for sub in inst.ops:
         if not sub.resolved:
             if sub not in pending:  # two operands may have folded into one
                 pending.append(sub)
         elif (sub.value.kind == "T") is want:
-            return TRUE if want else FALSE
+            return "T" if want else "F"
     inst.ops = pending
     if pending:
-        return UND
-    return FALSE if want else TRUE
+        return "?"
+    return "F" if want else "T"
 
 
 def run_trace(system: RuleSystem, trace: Trace) -> RunResult:

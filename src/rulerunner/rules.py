@@ -4,23 +4,19 @@
 index, one `NodeInfo` per subformula (operator kind, its dispatch code
 `code`, atom and operand ids) and `init_sets`, the rule names each
 subformula activates when it is spawned (the root's set is the initial
-state).  The engine steps a monitor from those nodes and initial sets,
-dispatching on `NodeInfo.code` and evaluating through the `truth` tables.
+state; an operator starts in the first mode of its `truth.TABLES` entry).
 
-The evaluation and reactivation rules are a view derived from the same
-facts, built on the first read of `RuleSystem.eval_rules` or `react_rules`
-and cached.  Every subformula contributes the rules of its main operator's
-evaluation table (plus end-of-trace rules for the temporal operators) and a
-reactivation rule binding each undecided value to the rule names active in
-the next cell; the root additionally gains the two terminal rules.  The
-listing renders what the engine computes and is not executed.  For until in
-particular, the mode-A and mode-B rules (`truth.UNTIL_A`, `truth.UNTIL_B`)
-render the operator's table over the current operand values, while the
-engine decides an until from the operand outcomes it keeps for every cell
-that can still witness it (`engine._decide_until`), which refines them.
-In modes L (a witness waits on a pending chain) and R (the chain broke) no
-later cell can witness an until, so its reactivation there spawns no
-operand.
+The evaluation and reactivation rules are a view built on the first read of
+`RuleSystem.eval_rules` or `react_rules` and cached, by walking the same
+`truth.TABLES` the engine indexes: each entry of an operator's table for a
+mode renders as one evaluation rule guarded by that mode (a unary
+operator's end-of-trace entries as one end-of-trace rule), and each mode as
+one reactivation rule binding its undecided value to the rule names active
+in the next cell; the root adds the two terminal rules.  The listing is not
+executed.  For until, the mode-A and mode-B rules render the operator's
+table over the current operand values, while the engine decides an until
+from the operand outcomes it keeps for every cell that can still witness it
+(`engine._decide_until`), which refines them.
 """
 
 from __future__ import annotations
@@ -44,10 +40,7 @@ from .ltl import (
     Until,
     WeakNext,
 )
-from .truth import FALSE, TRUE, UND, UND_A, UND_B, UND_L, UND_M, UND_R, EvalMode, TruthValue
-
-_CLASSES = ("T", "?", "F")
-_REP = {"T": TRUE, "?": UND, "F": FALSE}
+from .truth import FALSE, TRUE, EvalMode, TruthValue
 
 # Node kinds, leaves first; a node's dispatch code is its kind's index here.
 KINDS = ("atom", "negatom", "true", "or", "and", "next", "weaknext", "eventually", "always", "until")
@@ -191,53 +184,6 @@ def _node_info(f: Formula, index: SubformulaIndex) -> NodeInfo:
     return NodeInfo(kind, code)
 
 
-def _binary_rules(op: str, fid: int, left: int, right: int) -> list[EvaluationRule]:
-    rules = []
-    if op == "until":
-        guard_a = RuleName(fid, EvalMode.A)
-        rules.append(EvaluationRule(guard_a, (ValueCond(right, "T"),), fid, TRUE))
-        for lk, rk in (("T", "?"), ("T", "F"), ("?", "?"), ("?", "F"), ("F", "?"), ("F", "F")):
-            out = truth.eval_binary(op, EvalMode.A, _REP[lk], _REP[rk])
-            rules.append(EvaluationRule(guard_a, (ValueCond(left, lk), ValueCond(right, rk)), fid, out))
-        guard_b = RuleName(fid, EvalMode.B)
-        for lk in _CLASSES:
-            out = truth.eval_binary(op, EvalMode.B, _REP[lk], None)
-            rules.append(EvaluationRule(guard_b, (ValueCond(left, lk),), fid, out))
-    else:
-        guard_b = RuleName(fid, EvalMode.B)
-        for lk in _CLASSES:
-            for rk in _CLASSES:
-                out = truth.eval_binary(op, EvalMode.B, _REP[lk], _REP[rk])
-                rules.append(EvaluationRule(guard_b, (ValueCond(left, lk), ValueCond(right, rk)), fid, out))
-    for mode, operand in ((EvalMode.L, left), (EvalMode.R, right)):
-        guard = RuleName(fid, mode)
-        for k in _CLASSES:
-            args = (_REP[k], None) if mode is EvalMode.L else (None, _REP[k])
-            out = truth.eval_binary(op, mode, *args)
-            rules.append(EvaluationRule(guard, (ValueCond(operand, k),), fid, out))
-    return rules
-
-
-def _unary_rules(op: str, fid: int, sub: int) -> list[EvaluationRule]:
-    rules = []
-    guard = RuleName(fid)
-    if op in ("eventually", "always"):
-        for k in _CLASSES:
-            out = truth.eval_unary(op, EvalMode.PLAIN, _REP[k], at_end=False)
-            rules.append(EvaluationRule(guard, (ValueCond(sub, k),), fid, out))
-        forced = truth.eval_unary(op, EvalMode.PLAIN, UND, at_end=True)
-        rules.append(EvaluationRule(None, (ValueCond(fid, "?"), EndCond()), fid, forced))
-    else:
-        rules.append(EvaluationRule(guard, (), fid, truth.eval_unary(op, EvalMode.PLAIN, UND, at_end=False)))
-        forced = truth.eval_unary(op, EvalMode.PLAIN, UND, at_end=True)
-        rules.append(EvaluationRule(None, (ValueCond(fid, "?"), EndCond()), fid, forced))
-        guard_m = RuleName(fid, EvalMode.M)
-        for k in _CLASSES:
-            out = truth.eval_unary(op, EvalMode.M, _REP[k], at_end=False)
-            rules.append(EvaluationRule(guard_m, (ValueCond(sub, k),), fid, out))
-    return rules
-
-
 def compile_formula(f: Formula) -> RuleSystem:
     """Build the rule system for an NNF formula: its node table and the
     initial rule names of every subformula."""
@@ -245,21 +191,19 @@ def compile_formula(f: Formula) -> RuleSystem:
     nodes = tuple(_node_info(g, index) for g in index.formulas)
     init_sets: list[tuple[RuleName, ...]] = []
     for fid, node in enumerate(nodes):
-        if node.kind in ("or", "and"):
-            init_sets.append(_merge(init_sets[node.left], init_sets[node.right], (RuleName(fid, EvalMode.B),)))
-        elif node.kind == "until":
-            init_sets.append(_merge(init_sets[node.left], init_sets[node.right], (RuleName(fid, EvalMode.A),)))
-        elif node.kind in ("eventually", "always"):
-            init_sets.append(_merge(init_sets[node.left], (RuleName(fid),)))
-        else:  # true, atoms, and next/weaknext, whose operand starts in the next cell
-            init_sets.append((RuleName(fid),))
+        # an operator starts in its table's first mode, a leaf plain
+        own = (RuleName(fid, next(iter(truth.TABLES.get(node.kind, (EvalMode.PLAIN,))))),)
+        if node.code < K_OR or node.code == K_NEXT or node.code == K_WEAKNEXT:
+            init_sets.append(own)  # a leaf, or a next, whose operand starts in the next cell
+        else:
+            right = () if node.right is None else init_sets[node.right]
+            init_sets.append(_merge(init_sets[node.left], right, own))
     return RuleSystem(index, nodes, tuple(init_sets), index.root)
 
 
 def _build_listing(sys: RuleSystem) -> tuple[tuple[EvaluationRule, ...], tuple[ReactivationRule, ...]]:
     """Evaluation rules in firing order and reactivation rules of a compiled
     system, derived from its nodes, initial sets and the truth tables."""
-    init_sets = sys.init_sets
     eval_rules: list[EvaluationRule] = []
     react_rules: list[ReactivationRule] = []
     for fid, node in enumerate(sys.nodes):
@@ -271,29 +215,39 @@ def _build_listing(sys: RuleSystem) -> tuple[tuple[EvaluationRule, ...], tuple[R
             missing = FALSE if node.kind == "atom" else TRUE
             eval_rules.append(EvaluationRule(own, (ObsCond(node.atom, True),), fid, observed))
             eval_rules.append(EvaluationRule(own, (ObsCond(node.atom, False),), fid, missing))
-        elif node.kind in ("or", "and"):
-            eval_rules.extend(_binary_rules(node.kind, fid, node.left, node.right))
-            for und in (UND_B, UND_L, UND_R):
-                react_rules.append(ReactivationRule(fid, und, (RuleName(fid, und.mode),)))
-        elif node.kind == "until":
-            eval_rules.extend(_binary_rules(node.kind, fid, node.left, node.right))
-            respawn = _merge(init_sets[node.left], init_sets[node.right])
-            for und in (UND_A, UND_B):
-                react_rules.append(ReactivationRule(fid, und, _merge(respawn, (RuleName(fid, und.mode),))))
-            # in modes L and R no later cell can witness the until, so nothing is respawned
-            for und in (UND_L, UND_R):
-                react_rules.append(ReactivationRule(fid, und, (RuleName(fid, und.mode),)))
-        elif node.kind in ("eventually", "always"):
-            eval_rules.extend(_unary_rules(node.kind, fid, node.left))
-            react_rules.append(ReactivationRule(fid, UND, init_sets[fid]))
-        else:  # next / weaknext
-            eval_rules.extend(_unary_rules(node.kind, fid, node.left))
-            cont = (RuleName(fid, EvalMode.M),)
-            react_rules.append(ReactivationRule(fid, UND, _merge(init_sets[node.left], cont)))
-            react_rules.append(ReactivationRule(fid, UND_M, cont))
+        else:
+            _walk_tables(sys, fid, node, eval_rules, react_rules)
     eval_rules.append(EvaluationRule(None, (ValueCond(sys.root, "T"),), terminal="SUCCESS"))
     eval_rules.append(EvaluationRule(None, (ValueCond(sys.root, "F"),), terminal="FAILURE"))
     return tuple(eval_rules), tuple(react_rules)
+
+
+def _walk_tables(sys: RuleSystem, fid: int, node: NodeInfo, eval_rules: list, react_rules: list) -> None:
+    """Append an operator's evaluation rules, one per entry of its
+    `truth.TABLES`, and its reactivation rules, one per table mode."""
+    modes = truth.TABLES[node.kind]
+    initial = next(iter(modes))
+    unary = node.right is None
+    for mode, table in modes.items():
+        guard = RuleName(fid, mode)
+        for key, out in table.items():
+            kinds = key[:-1] if unary else key
+            if unary and key[-1]:  # one end-of-trace rule, for the initial mode with an undecided operand
+                if mode is initial and "T" not in kinds and "F" not in kinds:
+                    eval_rules.append(EvaluationRule(None, (ValueCond(fid, "?"), EndCond()), fid, out))
+                continue
+            conds = tuple(map(ValueCond, truth.reads(mode, len(kinds), node.left, node.right), kinds))
+            if mode is EvalMode.A and kinds[1] == "T":  # the right operand holding decides an until outright,
+                if kinds[0] != "T":  # so its three cells render as one rule
+                    continue
+                conds = conds[1:]
+            eval_rules.append(EvaluationRule(guard, conds, fid, out))
+        # in modes L and R no later cell can witness an until, and in mode M a
+        # next already holds its operand, so nothing is respawned
+        respawn = node.code >= K_NEXT and mode not in (EvalMode.L, EvalMode.R, EvalMode.M)
+        respawned = [sys.init_sets[x] for x in (node.left, node.right) if respawn and x is not None]
+        nxt = EvalMode.M if node.code == K_NEXT or node.code == K_WEAKNEXT else mode
+        react_rules.append(ReactivationRule(fid, TruthValue("?", mode), _merge(*respawned, (RuleName(fid, nxt),))))
 
 
 def rule_count_bound(f: Formula) -> int:

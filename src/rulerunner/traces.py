@@ -45,19 +45,24 @@ class Trace:
         return out
 
 
-def _check_atom(name: str, where: str) -> str:
+def _check_atom(name: str) -> str:
+    # the error says what is wrong, and each caller adds where
     if name == "END":
-        raise TraceError(f"{where}: 'END' is reserved for the end-of-trace marker")
+        raise TraceError("'END' is reserved for the end-of-trace marker")
     if not ATOM_RE.fullmatch(name):
-        raise TraceError(f"{where}: invalid observation name {name!r}")
+        raise TraceError(f"invalid observation name {name!r}")
     return name
 
 
 def check_alphabet(atoms: tuple[str, ...]) -> tuple[str, ...]:
     """An atom alphabet as given: nonempty, each name a valid observation
-    name given once."""
+    name other than the constant `true`, given once."""
     for a in atoms:
-        _check_atom(a, "alphabet")
+        try:
+            if _check_atom(a) == "true":
+                raise TraceError("'true' is the constant, not an atom name")
+        except TraceError as exc:
+            raise TraceError(f"alphabet: {exc}") from None
     if not atoms:
         raise TraceError("alphabet: no atom names given")
     for i, a in enumerate(atoms):
@@ -66,12 +71,12 @@ def check_alphabet(atoms: tuple[str, ...]) -> tuple[str, ...]:
     return atoms
 
 
-def _parse_cell(text: str, where: str) -> frozenset[str]:
+def _parse_cell(text: str) -> frozenset[str]:
     text = text.strip()
     if text == "." or not text:
         return frozenset()
     parts = [p for chunk in text.split(",") for p in chunk.split()]
-    return frozenset(_check_atom(p, where) for p in parts)
+    return frozenset(_check_atom(p) for p in parts)
 
 
 def parse_trace_inline(text: str) -> Trace:
@@ -83,7 +88,10 @@ def parse_trace_inline(text: str) -> Trace:
         raise TraceError("empty trace")
     cells = []
     for i, chunk in enumerate(stripped.split("-")):
-        cells.append(_parse_cell(chunk, f"cell {i}"))
+        try:
+            cells.append(_parse_cell(chunk))
+        except TraceError as exc:
+            raise TraceError(f"cell {i}: {exc}") from None
     return Trace(tuple(cells))
 
 
@@ -100,9 +108,9 @@ def parse_trace_lines(lines: list[str], source: str = "<trace>") -> Trace:
         if line.startswith("#"):
             continue
         try:
-            cells.append(_parse_cell(line, "line"))
+            cells.append(_parse_cell(line))
         except TraceError as exc:
-            raise TraceError(f"{source}:{lineno}: {exc}") from None
+            raise TraceError(f"{source}:{lineno}: line: {exc}") from None
     if not cells:
         raise TraceError(f"{source}: empty trace")
     return Trace(tuple(cells))

@@ -3,6 +3,11 @@
 Truth values are T, F, or undecided with an annotation recording which
 operand(s) can still decide the formula: ?L / ?R / ?B (left, right, both),
 ?A (until, all routes open), ?M (next/weak-next mirroring its operand).
+
+`TABLES` is the one statement of every operator: one table per legal
+activation mode, the initial mode first, entries in rule-listing order.  The
+engine indexes it and the rule listing walks it; the mode and operator
+names are derived from it, and `eval_binary`/`eval_unary` look entries up.
 """
 
 from __future__ import annotations
@@ -51,23 +56,8 @@ UND_B = TruthValue("?", EvalMode.B)
 UND_A = TruthValue("?", EvalMode.A)
 UND_M = TruthValue("?", EvalMode.M)
 
-BINARY_OPS = ("or", "and", "until")
-UNARY_OPS = ("eventually", "always", "next", "weaknext")
-
-BINARY_MODES = {
-    "or": (EvalMode.B, EvalMode.L, EvalMode.R),
-    "and": (EvalMode.B, EvalMode.L, EvalMode.R),
-    "until": (EvalMode.A, EvalMode.B, EvalMode.L, EvalMode.R),
-}
-UNARY_MODES = {
-    "eventually": (EvalMode.PLAIN,),
-    "always": (EvalMode.PLAIN,),
-    "next": (EvalMode.PLAIN, EvalMode.M),
-    "weaknext": (EvalMode.PLAIN, EvalMode.M),
-}
-
-# Tables keyed by the undecidedness class of each operand ("T", "F", "?").
-# Annotations on undecided operands never influence table lookups.
+# Tables keyed by the kinds ("T", "?" or "F") of the operands a mode reads;
+# annotations on undecided operands never influence a lookup.
 
 OR_B = {
     ("T", "T"): TRUE,
@@ -94,70 +84,93 @@ AND_B = {
 }
 
 # Until in its initial/anchored mode.  A right operand that holds now decides
-# the formula outright, so those three cells collapse into one wildcard rule.
+# the formula outright, so those three cells, listed first, render as one
+# wildcard rule.
 UNTIL_A = {
     ("T", "T"): TRUE,
     ("?", "T"): TRUE,
     ("F", "T"): TRUE,
     ("T", "?"): UND_A,
-    ("?", "?"): UND_A,
-    ("F", "?"): UND_R,
     ("T", "F"): UND_A,
+    ("?", "?"): UND_A,
     ("?", "F"): UND_B,
+    ("F", "?"): UND_R,
     ("F", "F"): FALSE,
 }
 
 # Until after the current-cell witness failed: only the left-operand chain
 # keeps the formula alive; branch bookkeeping in the engine refines this.
-UNTIL_B = {
-    "T": UND_B,
-    "?": UND_B,
-    "F": FALSE,
+UNTIL_B = {("T",): UND_B, ("?",): UND_B, ("F",): FALSE}
+
+# Modes L and R read the one operand that can still decide the formula.
+SIDE_L = {("T",): TRUE, ("?",): UND_L, ("F",): FALSE}
+SIDE_R = {("T",): TRUE, ("?",): UND_R, ("F",): FALSE}
+
+# The unary operators' keys end in the end-of-trace flag.  An eventually or
+# always reads the combined value of the operand instances it waits on; a
+# next or weak next reads nothing in its spawn cell and then mirrors its
+# operand (mode M).
+EVENTUALLY = {
+    ("T", False): TRUE, ("?", False): UND, ("F", False): UND,
+    ("T", True): TRUE, ("?", True): FALSE, ("F", True): FALSE,
+}
+ALWAYS = {
+    ("T", False): UND, ("?", False): UND, ("F", False): FALSE,
+    ("T", True): TRUE, ("?", True): TRUE, ("F", True): FALSE,
+}
+NEXT = {(False,): UND_M, (True,): FALSE}
+WEAKNEXT = {(False,): UND_M, (True,): TRUE}
+MIRROR = {
+    ("T", False): TRUE, ("?", False): UND_M, ("F", False): FALSE,
+    ("T", True): TRUE, ("?", True): UND_M, ("F", True): FALSE,
 }
 
-_UNARY_SIDE = {
-    EvalMode.L: UND_L,
-    EvalMode.R: UND_R,
+_BINARY = {
+    "or": {EvalMode.B: OR_B, EvalMode.L: SIDE_L, EvalMode.R: SIDE_R},
+    "and": {EvalMode.B: AND_B, EvalMode.L: SIDE_L, EvalMode.R: SIDE_R},
+    "until": {EvalMode.A: UNTIL_A, EvalMode.B: UNTIL_B, EvalMode.L: SIDE_L, EvalMode.R: SIDE_R},
 }
+_UNARY = {
+    "eventually": {EvalMode.PLAIN: EVENTUALLY},
+    "always": {EvalMode.PLAIN: ALWAYS},
+    "next": {EvalMode.PLAIN: NEXT, EvalMode.M: MIRROR},
+    "weaknext": {EvalMode.PLAIN: WEAKNEXT, EvalMode.M: MIRROR},
+}
+TABLES = {**_BINARY, **_UNARY}
+
+BINARY_MODES = {op: tuple(tables) for op, tables in _BINARY.items()}
+UNARY_MODES = {op: tuple(tables) for op, tables in _UNARY.items()}
+BINARY_OPS = tuple(BINARY_MODES)
+UNARY_OPS = tuple(UNARY_MODES)
 
 
 class IllegalModeError(ValueError):
     """Raised for an (operator, mode) pairing outside the rule grammar."""
 
 
-def _check_binary(op: str, mode: EvalMode) -> None:
-    if op not in BINARY_MODES or mode not in BINARY_MODES[op]:
+def reads(mode: EvalMode, n: int, left, right) -> tuple:
+    """The `n` operands a table of `mode` is keyed by, of an operator's `left`
+    and `right` (a unary one's is `left`): mode R reads the right one only."""
+    return (right,) if mode is EvalMode.R else (left, right)[:n]
+
+
+def _table(tables: dict, op: str, mode: EvalMode) -> dict:
+    table = tables.get(op, {}).get(mode)
+    if table is None:
         raise IllegalModeError(f"mode {mode.name} is not legal for operator {op!r}")
+    return table
 
 
 def eval_binary(op: str, mode: EvalMode, left: TruthValue | None, right: TruthValue | None) -> TruthValue:
     """Evaluation-table lookup for or/and/until under the given activation mode.
 
-    Modes L and R are unary: the other operand may be passed as None.
-    """
-    _check_binary(op, mode)
-    if mode is EvalMode.L or mode is EvalMode.R:
-        operand = left if mode is EvalMode.L else right
-        if operand is None:
-            side = "left" if mode is EvalMode.L else "right"
-            raise ValueError(f"mode {mode.name} requires the {side} operand")
-        if operand.kind == "T":
-            return TRUE
-        if operand.kind == "F":
-            return FALSE
-        return _UNARY_SIDE[mode]
-    if mode is EvalMode.B and op == "until":
-        if left is None:
-            raise ValueError("until mode B reads the left operand")
-        return UNTIL_B[left.kind]
-    if left is None or right is None:
-        raise ValueError(f"mode {mode.name} requires both operands")
-    key = (left.kind, right.kind)
-    if op == "or":
-        return OR_B[key]
-    if op == "and":
-        return AND_B[key]
-    return UNTIL_A[key]
+    A mode that reads one operand (L and until's B the left, R the right)
+    may be passed None for the other."""
+    table = _table(_BINARY, op, mode)
+    operands = reads(mode, len(next(iter(table))), left, right)
+    if any(x is None for x in operands):
+        raise ValueError(f"mode {mode.name} of {op!r} reads an operand passed as None")
+    return table[tuple(x.kind for x in operands)]
 
 
 def eval_unary(op: str, mode: EvalMode, sub: TruthValue, at_end: bool) -> TruthValue:
@@ -168,23 +181,6 @@ def eval_unary(op: str, mode: EvalMode, sub: TruthValue, at_end: bool) -> TruthV
     For next/weaknext in PLAIN mode the operand is not monitored yet and `sub`
     is ignored; in M mode the operand value is mirrored.
     """
-    if op not in UNARY_MODES or mode not in UNARY_MODES[op]:
-        raise IllegalModeError(f"mode {mode.name} is not legal for operator {op!r}")
-    if op == "eventually":
-        if sub.kind == "T":
-            return TRUE
-        return FALSE if at_end else UND
-    if op == "always":
-        if sub.kind == "F":
-            return FALSE
-        return TRUE if at_end else UND
-    # next / weaknext
-    if mode is EvalMode.PLAIN:
-        if at_end:
-            return FALSE if op == "next" else TRUE
-        return UND_M
-    if sub.kind == "T":
-        return TRUE
-    if sub.kind == "F":
-        return FALSE
-    return UND_M
+    table = _table(_UNARY, op, mode)
+    operands = reads(mode, len(next(iter(table))) - 1, sub, None)
+    return table[(*[x.kind for x in operands], bool(at_end))]

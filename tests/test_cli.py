@@ -221,12 +221,21 @@ class TestGen:
     def test_invalid_density_exits_2(self, capsys):
         assert main(["gen", "--atoms", "a", "--length", "3", "--density", "1.5", "--seed", "0"]) == 2
 
-    @pytest.mark.parametrize("atoms", ["a,a", "a,b, a"])
-    def test_repeated_atom_exits_2(self, capsys, atoms):
-        """A repeated name would get a draw per copy, raising its density."""
+    @pytest.mark.parametrize(
+        "atoms, error",
+        [
+            pytest.param("a,a", "atom name 'a' given more than once", id="a,a"),
+            pytest.param("a,b, a", "atom name 'a' given more than once", id="a,b, a"),
+            pytest.param("true", "'true' is the constant", id="true"),
+            pytest.param("a,true", "'true' is the constant", id="a,true"),
+        ],
+    )
+    def test_repeated_atom_exits_2(self, capsys, atoms, error):
+        """A repeated name would get a draw per copy, raising its density;
+        `true` is the constant, so traces over it would serve no formula."""
         assert main(["gen", "--atoms", atoms, "--length", "3", "--density", "0.3", "--seed", "1"]) == 2
         captured = capsys.readouterr()
-        assert "alphabet: atom name 'a' given more than once" in captured.err
+        assert f"alphabet: {error}" in captured.err
         assert captured.out == ""
 
 
@@ -275,7 +284,7 @@ class TestDiff:
         assert main(["diff", "--max-depth", "30", "--limit", "2", "--traces", "2"]) == 0
         assert "mismatches: 0" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("atoms", ["A,b", ",", "END", "a,a", "a,b,a"])
+    @pytest.mark.parametrize("atoms", ["A,b", ",", "END", "a,a", "a,b,a", "true", "a,true"])
     def test_invalid_alphabet_rejected(self, capsys, atoms):
         assert main(["diff", "--max-depth", "1", "--traces", "2", "--atoms", atoms]) == 2
         captured = capsys.readouterr()
@@ -293,15 +302,14 @@ class TestDiff:
         assert "MISMATCH" in out
 
     def test_corrupted_end_rule_is_caught(self, capsys, monkeypatch):
-        original = truth.eval_unary
-
-        def poisoned(op, mode, sub, at_end):
-            if op == "eventually" and at_end and sub.kind != "T":
-                return TRUE  # wrong: an unsatisfied eventually must fail at the end
-            return original(op, mode, sub, at_end)
-
-        monkeypatch.setattr(truth, "eval_unary", poisoned)
-        monkeypatch.setattr("rulerunner.engine.truth.eval_unary", poisoned)
+        """Fault injection: poisoning the eventually table's end-of-trace
+        entries must surface as exit code 3, and the rule listing, which
+        reads the same table as the engine, shows the poisoned entry."""
+        table = truth.TABLES["eventually"][truth.EvalMode.PLAIN]
+        for operand in ("?", "F"):
+            monkeypatch.setitem(table, (operand, True), TRUE)  # wrong: an unsatisfied eventually must fail at the end
+        assert main(["compile", "F a"]) == 0
+        assert "[F a]?, [END] -> [F a]T" in capsys.readouterr().out
         code = main(["diff", "--max-depth", "1", "--atoms", "a", "--traces", "10", "--max-length", "3"])
         assert code == 3
 

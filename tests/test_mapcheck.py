@@ -195,14 +195,9 @@ class TestRandomRuns:
     def test_wrong_end_rule_is_a_violation(self, monkeypatch):
         """Fault injection: an eventually that wrongly holds at the end of
         the trace gives a SUCCESS that the mapped judgements contradict."""
-        original = truth.eval_unary
-
-        def poisoned(op, mode, sub, at_end):
-            if op == "eventually" and at_end and sub.kind != "T":
-                return TRUE
-            return original(op, mode, sub, at_end)
-
-        monkeypatch.setattr(truth, "eval_unary", poisoned)
+        table = truth.TABLES["eventually"][truth.EvalMode.PLAIN]
+        for operand in ("?", "F"):
+            monkeypatch.setitem(table, (operand, True), TRUE)
         report = check("F a", "[b - b]")
         assert report.verdict is Verdict.SUCCESS
         assert not report.passed
