@@ -19,7 +19,7 @@ from .traces import (
     GenParams,
     Trace,
     TraceError,
-    _parse_cell,
+    cell_parser,
     check_alphabet,
     format_trace_file,
     format_trace_inline,
@@ -88,12 +88,15 @@ def cmd_stream(args) -> int:
     cache = CachedMonitor(compile_formula(_parse_nnf(args.formula)))
     state = before = cache.initial
     cell: frozenset[str] = frozenset()
+    parse = cell_parser()
+    if hasattr(sys.stdin, "reconfigure"):  # a line that is not UTF-8 is a malformed cell, not a crash
+        sys.stdin.reconfigure(errors="surrogateescape")
     for lineno, line in enumerate(sys.stdin, start=1):
-        if line.strip() == "$end":
-            break
         try:
-            cell = _parse_cell(line)
-        except TraceError as exc:
+            cell = parse(line)
+        except TraceError as exc:  # `$end` and a comment fail the cell syntax too
+            if line.strip() == "$end":
+                break
             if not line.lstrip().startswith("#"):  # a comment, as in trace files; never a cell
                 print(f"skipped malformed cell: line {lineno}: {exc}", file=sys.stderr)
             continue

@@ -9,6 +9,7 @@ observation name.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,8 +76,29 @@ def _parse_cell(text: str) -> frozenset[str]:
     text = text.strip()
     if text == "." or not text:
         return frozenset()
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
-    return frozenset(_check_atom(p) for p in parts)
+    return frozenset(map(_check_atom, text.replace(",", " ").split()))
+
+
+# A `cell_parser` memo holds at most this many line texts, each at most this
+# long.  Once full it evicts nothing, so a line it does not hold stays cheap.
+MEMO_CELLS = 1024
+MEMO_LINE_CHARS = 128
+
+
+def cell_parser() -> Callable[[str], frozenset[str]]:
+    """`_parse_cell` for one input: a well-formed line text within the memo's
+    bounds is parsed once, a malformed one raises its `TraceError` each time."""
+    memo: dict[str, frozenset[str]] = {}
+
+    def parse(text: str) -> frozenset[str]:
+        cell = memo.get(text)
+        if cell is None:
+            cell = _parse_cell(text)
+            if len(memo) < MEMO_CELLS and len(text) <= MEMO_LINE_CHARS:
+                memo[text] = cell
+        return cell
+
+    return parse
 
 
 def parse_trace_inline(text: str) -> Trace:
@@ -87,9 +109,10 @@ def parse_trace_inline(text: str) -> Trace:
     if not stripped.strip():
         raise TraceError("empty trace")
     cells = []
+    parse = cell_parser()
     for i, chunk in enumerate(stripped.split("-")):
         try:
-            cells.append(_parse_cell(chunk))
+            cells.append(parse(chunk))
         except TraceError as exc:
             raise TraceError(f"cell {i}: {exc}") from None
     return Trace(tuple(cells))
@@ -103,14 +126,13 @@ def format_trace_inline(t: Trace) -> str:
 def parse_trace_lines(lines: list[str], source: str = "<trace>") -> Trace:
     """One cell per line; ``#`` lines are comments, blank lines empty cells."""
     cells = []
+    parse = cell_parser()
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            continue
         try:
-            cells.append(_parse_cell(line))
-        except TraceError as exc:
-            raise TraceError(f"{source}:{lineno}: line: {exc}") from None
+            cells.append(parse(raw))
+        except TraceError as exc:  # a comment fails the cell syntax too
+            if not raw.lstrip().startswith("#"):
+                raise TraceError(f"{source}:{lineno}: line: {exc}") from None
     if not cells:
         raise TraceError(f"{source}: empty trace")
     return Trace(tuple(cells))

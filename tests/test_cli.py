@@ -9,6 +9,7 @@ import pytest
 
 from rulerunner import truth
 from rulerunner.cli import ENUMERATION_CAP, _formula_space_size, main
+from rulerunner.traces import MEMO_CELLS, MEMO_LINE_CHARS
 from rulerunner.truth import FALSE, TRUE
 
 
@@ -134,6 +135,17 @@ class TestStream:
         assert captured.out.splitlines() == ["FAILURE"]
         assert "skipped" in captured.err
 
+    def test_line_not_utf8_is_skipped(self, capsys, monkeypatch):
+        # stdin decoded strictly, as under PYTHONIOENCODING=utf-8 or a UTF-8 locale
+        stdin = io.TextIOWrapper(io.BytesIO(b"a\n\xff\na\n$end\n"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code = main(["stream", "G a"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.splitlines() == ["?", "?", "SUCCESS"]
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("skipped malformed cell: line 2: ")
+
     @pytest.mark.parametrize("formula, verdict, exit_code", [("G a", "FAILURE", 1), ("W a", "SUCCESS", 0)])
     def test_empty_input_is_one_empty_cell(self, capsys, monkeypatch, formula, verdict, exit_code):
         code = run_cli("stream", formula, stdin="", monkeypatch=monkeypatch)
@@ -193,6 +205,28 @@ class TestStreamMemory:
             tracemalloc.stop()
         assert code == 0 and sink.lines == 100_001
         assert marks[99_999] - marks[10_000] < 4096
+
+    def test_parse_memo_stops_growing_at_its_cap(self, monkeypatch):
+        """20k distinct lines, each as long as the parse memo holds: past
+        its cap of entries the memo keeps no more, so neither does the stream."""
+        marks = {}
+
+        def lines():
+            for i in range(20_000):
+                if i in (2 * MEMO_CELLS, 19_999):
+                    marks[i] = tracemalloc.get_traced_memory()[0]
+                yield f"a,x{i:0{MEMO_LINE_CHARS - 4}d}\n"
+
+        sink = _CountingSink()
+        monkeypatch.setattr("sys.stdin", lines())
+        monkeypatch.setattr("sys.stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["stream", "G a"])
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.lines == 20_001
+        assert marks[19_999] - marks[2 * MEMO_CELLS] < 4096
 
 
 class TestGen:

@@ -141,10 +141,30 @@ MALFORMED = st.tuples(st.lists(NAMES, max_size=2), BAD_NAMES, SEPARATORS).map(
 COMMENTS = st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(["#", "# a", "#$end", "#END, 1a - b"])).map(
     "".join
 )
+END = st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(["", " ", " \t"])).map(lambda t: t[0] + "$end" + t[1])
 LINE = st.one_of(
-    WELL_FORMED.map(lambda s: (s, True)), MALFORMED.map(lambda s: (s, False)), COMMENTS.map(lambda s: (s, None))
+    WELL_FORMED.map(lambda s: (s, True)),
+    MALFORMED.map(lambda s: (s, False)),
+    COMMENTS.map(lambda s: (s, None)),
+    END.map(lambda s: (s, "$end")),
 )
-LINES = st.lists(LINE, max_size=30)
+
+
+def with_repeats(items: list) -> list:
+    """The drawn lines, each integer among them replaced by a repeat of a
+    line drawn before it (and dropped at the start)."""
+    lines = []
+    for item in items:
+        if not isinstance(item, int):
+            lines.append(item)
+        elif lines:
+            lines.append(lines[item % len(lines)])
+    return lines
+
+
+# about half the lines repeat an earlier one, so that the stream's parse
+# memo is hit by well-formed, malformed, comment and `$end` lines alike
+LINES = st.lists(st.one_of(LINE, st.integers(0, 29)), max_size=30).map(with_repeats)
 
 
 def cells_of(lines: list[str]) -> list[frozenset[str]]:
@@ -155,7 +175,9 @@ def cells_of(lines: list[str]) -> list[frozenset[str]]:
 @given(formulas(3), LINES, st.sampled_from(["$end\n", ""]))
 def test_stream_skips_each_malformed_line_once(f, lines, close):
     text = format_formula(f)
-    good = [line for line, ok in lines if ok]
+    ends = [i for i, (_, kind) in enumerate(lines) if kind == "$end"]
+    closed = lines[: ends[0]] if ends else lines  # the first `$end` line closes the trace
+    good = [line for line, ok in closed if ok is True]
     saved = sys.stdin, sys.stdout, sys.stderr
     sys.stdin = io.StringIO("".join(line + "\n" for line, _ in lines) + close)
     sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
@@ -171,10 +193,11 @@ def test_stream_skips_each_malformed_line_once(f, lines, close):
     # `run` prints "<verdict> at cell <k>"; the stream's last line is the verdict
     assert out[-1] == run_out[-1].split()[0] and code == run_code
     # an online verdict ends the stream at its cell's line; the rest is unread
-    read = len(lines)
+    read = len(closed)
     if len(out) <= len(good):
-        read = [i for i, (_, ok) in enumerate(lines) if ok][len(out) - 1] + 1
-    malformed = [i + 1 for i, (_, ok) in enumerate(lines[:read]) if ok is False]
+        read = [i for i, (_, ok) in enumerate(closed) if ok is True][len(out) - 1] + 1
+    # each occurrence of a malformed line, repeated or not, is reported with its own number
+    malformed = [i + 1 for i, (_, ok) in enumerate(closed[:read]) if ok is False]
     assert len(err) == len(malformed)
     for line, lineno in zip(err, malformed):
         assert line.startswith(f"skipped malformed cell: line {lineno}: ")

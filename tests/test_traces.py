@@ -12,6 +12,7 @@ from rulerunner import (
     parse_trace_inline,
     read_trace_file,
 )
+from rulerunner.traces import MEMO_CELLS, MEMO_LINE_CHARS, _parse_cell
 
 
 class TestInlineFormat:
@@ -82,6 +83,22 @@ class TestFileFormat:
         with pytest.raises(TraceError) as err:
             read_trace_file(str(p))
         assert ":2:" in str(err.value)
+
+    def test_memo_gives_the_cells_of_each_line_alone(self, tmp_path):
+        """A file and an inline trace of repeated, distinct past the memo's
+        cap, over-long, blank and comment lines with \\r\\n endings read as
+        `_parse_cell` gives their cells line by line."""
+        rng = random.Random(5)
+        pool = ["a", "b,c", " a  b ", ".", "", "c\t,a", "x_1", "a " * MEMO_LINE_CHARS, "# note", "  #a, END"]
+        distinct = [f"d{i}" for i in range(MEMO_CELLS + 50)]
+        lines = [rng.choice(pool) for _ in range(2000)] + distinct + distinct[-100:]
+        rng.shuffle(lines)
+        p = tmp_path / "t.trace"
+        p.write_bytes("".join(line + "\r\n" for line in lines).encode())
+        kept = [line for line in lines if not line.lstrip().startswith("#")]
+        want = Trace(tuple(_parse_cell(line) for line in kept))
+        assert read_trace_file(str(p)) == want
+        assert parse_trace_inline("[" + "-".join(line + "\r" for line in kept) + "]") == want
 
     def test_file_round_trip(self, tmp_path):
         t = parse_trace_inline("[a,b - . - c]")
