@@ -3,7 +3,11 @@
 Concrete syntax tokens: ``! & | U X W F G true ( )`` with ``<>`` accepted as
 an alias for ``F`` and ``[]`` for ``G``.  Precedence, tightest first:
 ``{!, X, W, F, G} > U > & > |``; ``U`` is right-associative, ``&`` and ``|``
-left-associative.  Atom names match ``[a-z][a-z0-9_]*``.
+left-associative.  Atom names match ``ATOM_RE``, ``[a-z][a-z0-9_]*``.
+
+Each operator class states its shape by deriving from `Unary` or `Binary`
+and carries its concrete ``symbol`` and, if binary, its precedence
+``level``; the negation duals `to_nnf` applies are the table `_DUAL`.
 """
 
 from __future__ import annotations
@@ -34,47 +38,57 @@ class NegAtom(Formula):
 
 @dataclass(frozen=True)
 class Not(Formula):
-    """General negation; only present before NNF normalisation."""
+    """General negation; only present before NNF normalisation.  It is
+    neither `Unary` nor `Binary`, so no shape test admits it."""
+
+    symbol = "!"
+    sub: Formula
+
+
+@dataclass(frozen=True)
+class Unary(Formula):
+    """A temporal operator over one operand; subclasses add no fields."""
 
     sub: Formula
 
 
 @dataclass(frozen=True)
-class Or(Formula):
+class Binary(Formula):
+    """An operator over two operands; subclasses add no fields."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class Or(Binary):
+    symbol = "|"
+    level = 1
 
 
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class And(Binary):
+    symbol = "&"
+    level = 2
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    sub: Formula
+class Until(Binary):
+    symbol = "U"
+    level = 3
 
 
-@dataclass(frozen=True)
-class WeakNext(Formula):
-    sub: Formula
+class Next(Unary):
+    symbol = "X"
 
 
-@dataclass(frozen=True)
-class Eventually(Formula):
-    sub: Formula
+class WeakNext(Unary):
+    symbol = "W"
 
 
-@dataclass(frozen=True)
-class Always(Formula):
-    sub: Formula
+class Eventually(Unary):
+    symbol = "F"
+
+
+class Always(Unary):
+    symbol = "G"
 
 
 class ParseError(ValueError):
@@ -90,10 +104,13 @@ class NnfError(ValueError):
 ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<atom>[a-z][a-z0-9_]*)|(?P<ev><>)|(?P<alw>\[\])|(?P<sym>[!&|UXWFG()]))"
+    rf"\s*(?:(?P<atom>{ATOM_RE.pattern})|(?P<ev><>)|(?P<alw>\[\])|(?P<sym>[!&|UXWFG()]))"
 )
 
-_UNARY_TOKENS = {"!", "X", "W", "F", "G"}
+_OPERATORS = {cls.symbol: cls for cls in (Not, Next, WeakNext, Eventually, Always, Or, And, Until)}
+
+# prefix operators bind tighter than any Binary.level, so never need parentheses
+_LEVEL_UNARY = 4
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -145,45 +162,40 @@ class _Parser:
         kind, _, pos = self.peek()
         if kind == "end":
             raise ParseError("empty formula", pos)
-        f = self.or_expr()
+        f = self.binary_expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {val!r}", pos)
         return f
 
-    def or_expr(self) -> Formula:
-        f = self.and_expr()
-        while self.peek()[:2] == ("op", "|"):
-            self.advance()
-            f = Or(f, self.and_expr())
-        return f
+    def operator(self) -> type[Formula] | None:
+        kind, val, _ = self.tokens[self.i]
+        return _OPERATORS.get(val) if kind == "op" else None
 
-    def and_expr(self) -> Formula:
-        f = self.until_expr()
-        while self.peek()[:2] == ("op", "&"):
+    def binary_expr(self, level: int = Or.level) -> Formula:
+        """A formula whose binary operators outside parentheses have at least
+        this precedence level."""
+        if level == _LEVEL_UNARY:
+            return self.unary_expr()
+        f = self.binary_expr(level + 1)
+        op = self.operator()
+        while op is not None and issubclass(op, Binary) and op.level == level:
             self.advance()
-            f = And(f, self.until_expr())
-        return f
-
-    def until_expr(self) -> Formula:
-        f = self.unary_expr()
-        if self.peek()[:2] == ("op", "U"):
-            self.advance()
-            return Until(f, self.until_expr())
+            if op is Until:  # U groups to the right, & and | to the left
+                return Until(f, self.binary_expr(level))
+            f = op(f, self.binary_expr(level + 1))
+            op = self.operator()
         return f
 
     def unary_expr(self) -> Formula:
-        kind, val, pos = self.peek()
-        if kind == "op" and val in _UNARY_TOKENS:
-            self.advance()
-            sub = self.unary_expr()
-            if val == "!":
-                if isinstance(sub, Atom):
-                    return NegAtom(sub.name)
-                return Not(sub)
-            ctor = {"X": Next, "W": WeakNext, "F": Eventually, "G": Always}[val]
-            return ctor(sub)
-        return self.primary()
+        op = self.operator()
+        if op is None or issubclass(op, Binary):
+            return self.primary()
+        self.advance()
+        sub = self.unary_expr()
+        if op is Not and isinstance(sub, Atom):
+            return NegAtom(sub.name)
+        return op(sub)
 
     def primary(self) -> Formula:
         kind, val, pos = self.advance()
@@ -192,7 +204,7 @@ class _Parser:
         if kind == "atom":
             return Atom(val)
         if kind == "op" and val == "(":
-            f = self.or_expr()
+            f = self.binary_expr()
             self.expect_op(")")
             return f
         raise ParseError(f"expected a formula, got {val!r}" if val else "unexpected end of input", pos)
@@ -204,29 +216,22 @@ def parse_formula(text: str) -> Formula:
     return _Parser(text).parse()
 
 
+# the operator a negation turns each operator into (negated until has none)
+_DUAL = {Or: And, And: Or, Next: WeakNext, WeakNext: Next, Eventually: Always, Always: Eventually}
+
+
 def to_nnf(f: Formula) -> Formula:
     """Push negations down to the literals and cancel double negations.
 
     Rejects negated until (the grammar has no release operator) and negated
     `true` (there is no false literal).
     """
-    if isinstance(f, (TrueConst, Atom, NegAtom)):
-        return f
-    if isinstance(f, Or):
-        return Or(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, And):
-        return And(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Until):
-        return Until(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Next):
-        return Next(to_nnf(f.sub))
-    if isinstance(f, WeakNext):
-        return WeakNext(to_nnf(f.sub))
-    if isinstance(f, Eventually):
-        return Eventually(to_nnf(f.sub))
-    if isinstance(f, Always):
-        return Always(to_nnf(f.sub))
-    assert isinstance(f, Not)
+    if isinstance(f, Binary):
+        return type(f)(to_nnf(f.left), to_nnf(f.right))
+    if isinstance(f, Unary):
+        return type(f)(to_nnf(f.sub))
+    if not isinstance(f, Not):
+        return f  # true or a literal
     g = f.sub
     if isinstance(g, TrueConst):
         raise NnfError("!true has no NNF form: the grammar has no false literal")
@@ -236,63 +241,37 @@ def to_nnf(f: Formula) -> Formula:
         return Atom(g.name)
     if isinstance(g, Not):
         return to_nnf(g.sub)
-    if isinstance(g, Or):
-        return And(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-    if isinstance(g, And):
-        return Or(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-    if isinstance(g, Next):
-        return WeakNext(to_nnf(Not(g.sub)))
-    if isinstance(g, WeakNext):
-        return Next(to_nnf(Not(g.sub)))
-    if isinstance(g, Eventually):
-        return Always(to_nnf(Not(g.sub)))
-    if isinstance(g, Always):
-        return Eventually(to_nnf(Not(g.sub)))
-    assert isinstance(g, Until)
-    raise NnfError("negated until has no NNF form: the grammar has no release operator")
+    if isinstance(g, Until):
+        raise NnfError("negated until has no NNF form: the grammar has no release operator")
+    if isinstance(g, Binary):
+        return _DUAL[type(g)](to_nnf(Not(g.left)), to_nnf(Not(g.right)))
+    return _DUAL[type(g)](to_nnf(Not(g.sub)))
 
 
 def is_nnf(f: Formula) -> bool:
-    if isinstance(f, Not):
-        return False
-    if isinstance(f, (Or, And, Until)):
+    if isinstance(f, Binary):
         return is_nnf(f.left) and is_nnf(f.right)
-    if isinstance(f, (Next, WeakNext, Eventually, Always)):
+    if isinstance(f, Unary):
         return is_nnf(f.sub)
-    return True
-
-
-# precedence levels for minimal-parenthesis printing
-_LEVEL_OR = 1
-_LEVEL_AND = 2
-_LEVEL_UNTIL = 3
-_LEVEL_UNARY = 4
-_LEVEL_LEAF = 5
-
-_UNARY_SYMBOL = {Next: "X", WeakNext: "W", Eventually: "F", Always: "G"}
+    return not isinstance(f, Not)
 
 
 def _fmt(f: Formula, ctx: int) -> str:
-    if isinstance(f, TrueConst):
-        return "true"
-    if isinstance(f, Atom):
-        return f.name
+    if isinstance(f, Binary):
+        level = f.level
+        right = isinstance(f, Until)  # U groups to the right, & and | to the left
+        text = _fmt(f.left, level + right) + f" {f.symbol} " + _fmt(f.right, level + 1 - right)
+        return f"({text})" if level < ctx else text
+    if isinstance(f, Unary):
+        return f.symbol + " " + _fmt(f.sub, _LEVEL_UNARY)
+    if isinstance(f, Not):
+        return f.symbol + _fmt(f.sub, _LEVEL_UNARY)
     if isinstance(f, NegAtom):
         return "!" + f.name
-    if isinstance(f, Not):
-        return "!" + _fmt(f.sub, _LEVEL_UNARY)
-    if isinstance(f, (Next, WeakNext, Eventually, Always)):
-        text = _UNARY_SYMBOL[type(f)] + " " + _fmt(f.sub, _LEVEL_UNARY)
-        return f"({text})" if _LEVEL_UNARY < ctx else text
-    if isinstance(f, Until):
-        text = _fmt(f.left, _LEVEL_UNTIL + 1) + " U " + _fmt(f.right, _LEVEL_UNTIL)
-        return f"({text})" if _LEVEL_UNTIL < ctx else text
-    if isinstance(f, And):
-        text = _fmt(f.left, _LEVEL_AND) + " & " + _fmt(f.right, _LEVEL_AND + 1)
-        return f"({text})" if _LEVEL_AND < ctx else text
-    assert isinstance(f, Or)
-    text = _fmt(f.left, _LEVEL_OR) + " | " + _fmt(f.right, _LEVEL_OR + 1)
-    return f"({text})" if _LEVEL_OR < ctx else text
+    if isinstance(f, Atom):
+        return f.name
+    assert isinstance(f, TrueConst)
+    return "true"
 
 
 def format_formula(f: Formula) -> str:
@@ -313,13 +292,13 @@ class SubformulaIndex:
     def _collect(self, f: Formula) -> None:
         if f in self.ids:
             return
-        if isinstance(f, Not):
-            raise NnfError("subformula indexing requires NNF input")
-        if isinstance(f, (Or, And, Until)):
+        if isinstance(f, Binary):
             self._collect(f.left)
             self._collect(f.right)
-        elif isinstance(f, (Next, WeakNext, Eventually, Always)):
+        elif isinstance(f, Unary):
             self._collect(f.sub)
+        elif isinstance(f, Not):
+            raise NnfError("subformula indexing requires NNF input")
         self.ids[f] = len(self.formulas)
         self.formulas.append(f)
         self._texts.append(format_formula(f))

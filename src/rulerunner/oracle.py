@@ -19,6 +19,7 @@ from .ltl import (
     Always,
     And,
     Atom,
+    Binary,
     Eventually,
     Formula,
     NegAtom,
@@ -200,7 +201,7 @@ def random_formula(
         if depth == 0 or rng.random() < 0.2:
             return rng.choice(leaves)
         ctor = rng.choice(operators)
-        if ctor in _BINARY_CTORS:
+        if issubclass(ctor, Binary):
             return ctor(gen(depth - 1), gen(depth - 1))
         return ctor(gen(depth - 1))
 

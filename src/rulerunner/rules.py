@@ -30,6 +30,7 @@ from .ltl import (
     Always,
     And,
     Atom,
+    Binary,
     Eventually,
     Formula,
     NegAtom,
@@ -37,25 +38,18 @@ from .ltl import (
     Or,
     SubformulaIndex,
     TrueConst,
+    Unary,
     Until,
     WeakNext,
 )
 from .truth import FALSE, TRUE, EvalMode, TruthValue
 
-# Node kinds, leaves first; a node's dispatch code is its kind's index here.
+# Node kinds, leaves first, and their formula classes; a node's dispatch code is its kind's index here.
 KINDS = ("atom", "negatom", "true", "or", "and", "next", "weaknext", "eventually", "always", "until")
 K_ATOM, K_NEGATOM, K_TRUE, K_OR, K_AND, K_NEXT, K_WEAKNEXT, K_EVENTUALLY, K_ALWAYS, K_UNTIL = range(len(KINDS))
 _CODE_OF = {
-    TrueConst: K_TRUE,
-    Atom: K_ATOM,
-    NegAtom: K_NEGATOM,
-    Or: K_OR,
-    And: K_AND,
-    Until: K_UNTIL,
-    Next: K_NEXT,
-    WeakNext: K_WEAKNEXT,
-    Eventually: K_EVENTUALLY,
-    Always: K_ALWAYS,
+    cls: code
+    for code, cls in enumerate((Atom, NegAtom, TrueConst, Or, And, Next, WeakNext, Eventually, Always, Until))
 }
 
 
@@ -177,9 +171,9 @@ def _node_info(f: Formula, index: SubformulaIndex) -> NodeInfo:
     kind = KINDS[code]
     if isinstance(f, (Atom, NegAtom)):
         return NodeInfo(kind, code, atom=f.name)
-    if isinstance(f, (Or, And, Until)):
+    if isinstance(f, Binary):
         return NodeInfo(kind, code, left=index.id_of(f.left), right=index.id_of(f.right))
-    if isinstance(f, (Next, WeakNext, Eventually, Always)):
+    if isinstance(f, Unary):
         return NodeInfo(kind, code, left=index.id_of(f.sub))
     return NodeInfo(kind, code)
 

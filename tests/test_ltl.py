@@ -157,6 +157,11 @@ class TestFormatting:
             (Until(Until(a, b), c), "(a U b) U c"),
             (Next(Next(a)), "X X a"),
             (Always(Or(a, b)), "G (a | b)"),
+            (Not(And(a, Next(b))), "!(a & X b)"),
+            (Next(Not(Or(a, b))), "X !(a | b)"),
+            (Not(Until(a, b)), "!(a U b)"),
+            (Until(Not(Next(a)), b), "!X a U b"),
+            (Not(Not(Or(a, b))), "!!(a | b)"),
         ],
     )
     def test_examples(self, f, text):
@@ -188,6 +193,26 @@ def nnf_formulas(max_leaves=6):
 @given(nnf_formulas())
 @settings(max_examples=300)
 def test_format_parse_round_trip(f):
+    assert parse_formula(format_formula(f)) == f
+
+
+def negation_formulas(max_leaves=8):
+    """Formulae that may hold `Not` over any operand but a bare atom: `!a`
+    parses back as a NegAtom."""
+    return st.recursive(
+        nnf_formulas(2),
+        lambda children: st.one_of(
+            st.builds(Not, children.filter(lambda g: not isinstance(g, Atom))),
+            *(st.builds(op, children) for op in (Next, WeakNext, Eventually, Always)),
+            *(st.builds(op, children, children) for op in (Or, And, Until)),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+@given(negation_formulas())
+@settings(max_examples=300)
+def test_format_parse_round_trip_with_negation(f):
     assert parse_formula(format_formula(f)) == f
 
 
