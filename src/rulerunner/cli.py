@@ -82,6 +82,9 @@ def cmd_stream(args) -> int:
     counts as `$end`.  A trace closed before any cell is monitored as one
     empty cell, so `G a` fails and `W a` succeeds on empty input.
 
+    Each cell read gets one output line, `?` while undecided, written and
+    flushed before the next input line is read; the verdict line is the last.
+
     The monitor walks a `CachedMonitor` and keeps the state before the
     latest cell, so the end verdict is that state's transition on the
     latest cell with the end-of-trace marker: one step, no replay."""
@@ -89,6 +92,7 @@ def cmd_stream(args) -> int:
     state = before = cache.initial
     cell: frozenset[str] = frozenset()
     parse = cell_parser()
+    step, write, flush = cache.next, sys.stdout.write, sys.stdout.flush
     if hasattr(sys.stdin, "reconfigure"):  # a line that is not UTF-8 is a malformed cell, not a crash
         sys.stdin.reconfigure(errors="surrogateescape")
     for lineno, line in enumerate(sys.stdin, start=1):
@@ -100,14 +104,16 @@ def cmd_stream(args) -> int:
             if not line.lstrip().startswith("#"):  # a comment, as in trace files; never a cell
                 print(f"skipped malformed cell: line {lineno}: {exc}", file=sys.stderr)
             continue
-        before, state = state, cache.next(state, cell)
-        if isinstance(state, Verdict):
-            print(state, flush=True)
-            return EXIT_SUCCESS if state is Verdict.SUCCESS else EXIT_FAILURE
-        print("?", flush=True)
-    verdict = cache.end(before, cell)
-    print(verdict, flush=True)
-    return EXIT_SUCCESS if verdict is Verdict.SUCCESS else EXIT_FAILURE
+        before, state = state, step(state, cell)
+        if state.__class__ is Verdict:
+            break
+        write("?\n")
+        flush()
+    if state.__class__ is not Verdict:
+        state = cache.end(before, cell)
+    write(str(state) + "\n")
+    flush()
+    return EXIT_SUCCESS if state is Verdict.SUCCESS else EXIT_FAILURE
 
 
 def cmd_gen(args) -> int:

@@ -103,11 +103,13 @@ class NnfError(ValueError):
 
 ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
-_TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<atom>{ATOM_RE.pattern})|(?P<ev><>)|(?P<alw>\[\])|(?P<sym>[!&|UXWFG()]))"
-)
-
 _OPERATORS = {cls.symbol: cls for cls in (Not, Next, WeakNext, Eventually, Always, Or, And, Until)}
+_ALIASES = {"<>": "F", "[]": "G"}
+
+_TOKEN_RE = re.compile(
+    rf"\s*(?:(?P<atom>{ATOM_RE.pattern})"
+    rf"|(?P<sym>{'|'.join(map(re.escape, _ALIASES))}|[{re.escape(''.join(_OPERATORS) + '()')}]))"
+)
 
 # prefix operators bind tighter than any Binary.level, so never need parentheses
 _LEVEL_UNARY = 4
@@ -127,12 +129,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             word = m.group("atom")
             kind = "true" if word == "true" else "atom"
             tokens.append((kind, word, m.start("atom")))
-        elif m.group("ev"):
-            tokens.append(("op", "F", m.start("ev")))
-        elif m.group("alw"):
-            tokens.append(("op", "G", m.start("alw")))
         else:
-            tokens.append(("op", m.group("sym"), m.start("sym")))
+            sym = m.group("sym")
+            tokens.append(("op", _ALIASES.get(sym, sym), m.start("sym")))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens

@@ -1,7 +1,9 @@
 import io
 import os
+import queue
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -103,7 +105,7 @@ class TestStream:
     def test_evolving_verdicts(self, capsys, monkeypatch):
         code = run_cli("stream", "a | F b", stdin="c\na\nb,d\n", monkeypatch=monkeypatch)
         assert code == 0
-        assert capsys.readouterr().out.splitlines() == ["?", "?", "SUCCESS"]
+        assert capsys.readouterr().out == "?\n?\nSUCCESS\n"
 
     def test_immediate_end_fails_eventually(self, capsys, monkeypatch):
         code = run_cli("stream", "F a", stdin="$end\n", monkeypatch=monkeypatch)
@@ -119,21 +121,21 @@ class TestStream:
         code = run_cli("stream", "F b", stdin="9bad\nb\n", monkeypatch=monkeypatch)
         captured = capsys.readouterr()
         assert code == 0
-        assert captured.out.splitlines() == ["SUCCESS"]
-        assert "skipped" in captured.err
+        assert captured.out == "SUCCESS\n"
+        assert captured.err.startswith("skipped malformed cell: line 1: ")
 
     def test_eof_counts_as_end(self, capsys, monkeypatch):
         code = run_cli("stream", "G a", stdin="a\na\n", monkeypatch=monkeypatch)
         assert code == 0
-        assert capsys.readouterr().out.splitlines() == ["?", "?", "SUCCESS"]
+        assert capsys.readouterr().out == "?\n?\nSUCCESS\n"
 
     def test_line_holding_several_cells_is_skipped(self, capsys, monkeypatch):
         # a stream line is exactly one cell; `a - b` is not monitored as {a}
         code = run_cli("stream", "F b", stdin="a - b\n$end\n", monkeypatch=monkeypatch)
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.out.splitlines() == ["FAILURE"]
-        assert "skipped" in captured.err
+        assert captured.out == "FAILURE\n"
+        assert captured.err.startswith("skipped malformed cell: line 1: ")
 
     def test_line_not_utf8_is_skipped(self, capsys, monkeypatch):
         # stdin decoded strictly, as under PYTHONIOENCODING=utf-8 or a UTF-8 locale
@@ -142,7 +144,7 @@ class TestStream:
         code = main(["stream", "G a"])
         captured = capsys.readouterr()
         assert code == 0
-        assert captured.out.splitlines() == ["?", "?", "SUCCESS"]
+        assert captured.out == "?\n?\nSUCCESS\n"
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("skipped malformed cell: line 2: ")
 
@@ -150,7 +152,50 @@ class TestStream:
     def test_empty_input_is_one_empty_cell(self, capsys, monkeypatch, formula, verdict, exit_code):
         code = run_cli("stream", formula, stdin="", monkeypatch=monkeypatch)
         assert code == exit_code
-        assert capsys.readouterr().out.splitlines() == [verdict]
+        assert capsys.readouterr().out == verdict + "\n"
+
+
+class TestStreamOnPipes:
+    def test_each_reply_arrives_before_the_next_line_is_sent(self):
+        """`stream` in its own process on real pipes: the reply to a cell
+        must arrive while the monitor waits for the next line, so a reply
+        left in the output buffer fails the read after a few seconds."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # the flush under test
+        env["PYTHONPATH"] = str(src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rulerunner", "stream", "G a"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        replies: queue.Queue[bytes] = queue.Queue()
+
+        def read_replies():
+            for reply in proc.stdout:
+                replies.put(reply)
+
+        reader = threading.Thread(target=read_replies, daemon=True)
+        reader.start()
+        try:
+            for line, want in ((b"a\n", b"?\n"), (b"a\n", b"?\n"), (b"$end\n", b"SUCCESS\n")):
+                proc.stdin.write(line)
+                proc.stdin.flush()
+                try:
+                    assert replies.get(timeout=5) == want, line
+                except queue.Empty:
+                    pytest.fail(f"no reply within 5 s to {line!r}")
+            assert proc.wait(timeout=10) == 0
+            reader.join(timeout=5)
+            assert not reader.is_alive() and replies.empty()  # no line after the verdict
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            reader.join(timeout=5)
+            for pipe in (proc.stdin, proc.stdout, proc.stderr):
+                pipe.close()
 
 
 class TestStreamPastNodeCap:
