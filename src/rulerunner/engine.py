@@ -32,9 +32,11 @@ the trace length; for formulae whose temporal operators have purely
 propositional operands at most one instance per subformula is ever live and
 the flat rule-set behaviour is recovered exactly.
 
-`Monitor.step` records each cell (`StepOutcome`, for `explain`, `to_dict`
-and `mapcheck`); `Monitor.advance` runs the same passes and records
-nothing.  `Monitor.clone` copies the live state between cells.  Since the
+`Monitor.step` records each cell as a read-only `StepOutcome` (for
+`explain`, `to_dict` and `mapcheck`): the state before and after it and the
+fired instances' values, from which `evaluations` pairs each value with its
+instance; `Monitor.advance` runs the same passes and records nothing.
+`Monitor.clone` copies the live state between cells.  Since the
 live state is bounded and folded, a formula's monitor has few distinct
 states: `CachedMonitor` builds the finite automaton over them lazily, one
 transition per (state, letter) from a clone of the state's representative
@@ -45,11 +47,12 @@ states; one found past the cap is handed out without being kept.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import truth
 from .rules import K_ALWAYS, K_AND, K_ATOM, K_EVENTUALLY, K_NEGATOM, K_NEXT, K_OR, K_TRUE, K_UNTIL, K_WEAKNEXT, KINDS
-from .rules import NodeInfo, RuleName, RuleSystem
+from .rules import RuleName, RuleSystem
 from .traces import Trace
 from .truth import FALSE, TRUE, EvalMode, TruthValue
 
@@ -157,20 +160,26 @@ def _decide_until(inst: _Instance, at_end: bool) -> TruthValue:
     return truth.UND_A
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    """Everything observable about one monitoring cell."""
+class StepOutcome(NamedTuple):
+    """Everything observable about one monitoring cell; read-only.
 
-    system: RuleSystem = field(repr=False)
+    `values` holds each live instance's value this cell in `state_before`
+    order, as firing spawns and drops nothing; `evaluations` pairs them."""
+
+    system: RuleSystem
     cell: int
     verdict: Verdict
     state_before: tuple[tuple[int, int, EvalMode], ...]
     observations: tuple[str, ...]
-    evaluations: tuple[tuple[int, int, TruthValue], ...]
+    values: tuple[TruthValue, ...]
     state_after: tuple[tuple[int, int, EvalMode], ...] | None
     # (fid, epoch) of the instances folded into an older equivalent one
     # on the way to state_after
     folded: tuple[tuple[int, int], ...] = ()
+
+    @property
+    def evaluations(self) -> tuple[tuple[int, int, TruthValue], ...]:
+        return tuple([(fid, epoch, value) for (fid, epoch, _), value in zip(self.state_before, self.values)])
 
     def rows(self) -> str:
         return _render_block(self)
@@ -211,7 +220,7 @@ class Monitor:
         self._init_sets = system.init_sets
         self._live: list[dict[int, _Instance]] = [{} for _ in system.nodes]  # fid -> epoch -> instance
         self._root = self._spawn(system.root, 0)
-        self._state: tuple | None = self.active()  # the next cell's state_before, if `step` made this state
+        self._state: tuple | None = None  # the next cell's state_before, if `step` made this state
 
     # -- state inspection ---------------------------------------------------
 
@@ -287,7 +296,7 @@ class Monitor:
     def advance(self, observations, is_last: bool = False) -> Verdict:
         """Process one trace cell as `step` does, recording nothing; returns
         the verdict so far."""
-        if self.finished:
+        if self.verdict is not _UNDECIDED:
             raise MonitorError("monitor already produced a verdict; the trace beyond it is ignored")
         self._fire(frozenset(observations), is_last)
         self._settle()
@@ -297,31 +306,23 @@ class Monitor:
     def step(self, observations, is_last: bool = False) -> StepOutcome:
         """Process one trace cell.  `is_last` puts the end-of-trace marker
         in effect, forcing the temporal operators to their final values."""
-        if self.finished:
+        if self.verdict is not _UNDECIDED:
             raise MonitorError("monitor already produced a verdict; the trace beyond it is ignored")
         obs = frozenset(observations)
         cell = self.cell
         state_before = self._state or self.active()
         self._fire(obs, is_last)
-        evaluations = tuple(
-            [(fid, epoch, inst.value) for fid, insts in enumerate(self._live) for epoch, inst in insts.items()]
-        )
+        values = tuple([inst.value for insts in self._live for inst in insts.values()])
         folded = self._settle()
         state_after = self._state = None if self.verdict is not _UNDECIDED else self.active()
         return StepOutcome(
-            system=self.system,
-            cell=cell,
-            verdict=self.verdict,
-            state_before=state_before,
-            observations=tuple(sorted(obs)),
-            evaluations=evaluations,
-            state_after=state_after,
-            folded=folded,
+            self.system, cell, self.verdict, state_before, tuple(sorted(obs)) if obs else (), values, state_after, folded
         )
 
     def _fire(self, obs: frozenset[str], is_last: bool) -> None:
-        """Give every live instance its value this cell, operands first."""
-        evaluate = self._evaluate
+        """Give every live instance its value this cell, operands first; an
+        instance that is not a leaf or an until reads it from its mode's
+        `truth.TABLES` table by `is` tests (an `EvalMode` hashes in Python)."""
         nodes = self._nodes
         for fid, insts in enumerate(self._live):
             if not insts:
@@ -339,8 +340,23 @@ class Monitor:
                     inst.value = value
                     inst.resolved = True
                 continue
+            tables = _TABLES[code]
             for inst in insts.values():
-                value = evaluate(node, inst, is_last)
+                ops = inst.ops
+                mode = inst.mode
+                if code == K_OR or code == K_AND:  # modes B, L, R
+                    if mode is _L:
+                        value = tables[1][(ops[0].value.kind,)]
+                    elif mode is _R:
+                        value = tables[2][(ops[0].value.kind,)]
+                    else:
+                        value = tables[0][(ops[0].value.kind, ops[1].value.kind)]
+                elif code == K_NEXT or code == K_WEAKNEXT:  # modes PLAIN, M
+                    value = tables[0][(is_last,)] if mode is _PLAIN else tables[1][(ops[0].value.kind, is_last)]
+                elif code == K_UNTIL:
+                    value = _decide_until(inst, is_last)
+                else:
+                    value = tables[0][(_aggregate(inst, code == K_EVENTUALLY), is_last)]
                 inst.value = value
                 if value.kind != "?":
                     inst.resolved = True
@@ -356,30 +372,6 @@ class Monitor:
         self.verdict = Verdict.SUCCESS if kind == "T" else Verdict.FAILURE
         return ()
 
-    # -- evaluation ---------------------------------------------------------
-
-    @staticmethod
-    def _evaluate(node: NodeInfo, inst: _Instance, at_end: bool) -> TruthValue:
-        """Value of a non-leaf instance from its operands' values this cell: an entry of
-        its mode's `truth.TABLES` table, chosen by `is` tests (an `EvalMode` hashes in Python)."""
-        code = node.code
-        ops = inst.ops
-        if code == K_UNTIL:
-            return _decide_until(inst, at_end)
-        tables = _TABLES[code]
-        mode = inst.mode
-        if code == K_OR or code == K_AND:  # modes B, L, R
-            if mode is _L:
-                return tables[1][(ops[0].value.kind,)]
-            if mode is _R:
-                return tables[2][(ops[0].value.kind,)]
-            return tables[0][(ops[0].value.kind, ops[1].value.kind)]
-        if code == K_NEXT or code == K_WEAKNEXT:  # modes PLAIN, M
-            if mode is _PLAIN:
-                return tables[0][(at_end,)]
-            return tables[1][(ops[0].value.kind, at_end)]
-        return tables[0][(_aggregate(inst, code == K_EVENTUALLY), at_end)]
-
     # -- between cells ---------------------------------------------------------
 
     def _reactivate(self, nxt: int) -> None:
@@ -387,7 +379,8 @@ class Monitor:
         reaches through unresolved ones, dropping the rest: each kept one
         reactivates in place, spawning fresh operand instances at `nxt`.
         Operands carry smaller ids than their parents, so one sweep from the
-        root's id down sees every parent first; it passes over the instances
+        root's id down sees every parent first, and a subformula's map grows
+        only while its parents are swept; the sweep passes over the instances
         it spawned, the only ones with epoch `nxt`."""
         spawn = self._spawn
         held = {self._root}
@@ -395,11 +388,12 @@ class Monitor:
             if not insts:
                 continue
             code = node.code
-            for epoch, inst in list(insts.items()):
+            dropped = []
+            for epoch, inst in insts.items():
                 if epoch == nxt:
                     continue
                 if inst.resolved or inst not in held:
-                    del insts[epoch]
+                    dropped.append(epoch)
                     continue
                 if code == K_OR or code == K_AND:
                     mode = inst.value.mode
@@ -416,6 +410,8 @@ class Monitor:
                     inst.mode = _M
                     inst.ops = [spawn(node.left, nxt)]
                 held.update(inst.ops)
+            for epoch in dropped:
+                del insts[epoch]
 
     def _merge(self) -> tuple[tuple[int, int], ...]:
         """Fold instances of one subformula with identical futures into the
@@ -426,13 +422,13 @@ class Monitor:
         instances (for an eventually or always, the same set of them).
         Leaves never have two live instances, as each resolves in its spawn
         cell."""
-        forward: dict[_Instance, _Instance] = {}  # folded instance -> its survivor
-        folded: set[int] = set()
-        gone: list[tuple[int, int]] = []
-        for fid, (node, insts) in enumerate(zip(self._nodes, self._live)):
+        forward: dict[_Instance, _Instance] | None = None  # folded instance -> its survivor, once one folds
+        live = self._live
+        for fid, node in enumerate(self._nodes):
+            insts = live[fid]
             if not insts:
                 continue
-            if folded and (node.left in folded or node.right in folded):
+            if forward and (node.left in folded or node.right in folded):
                 for inst in insts.values():
                     inst.ops = [forward.get(sub, sub) for sub in inst.ops]
             if len(insts) < 2:
@@ -443,11 +439,13 @@ class Monitor:
                 key = frozenset(inst.ops) if as_set else (inst.mode, tuple(inst.ops))
                 survivor = survivors.setdefault(key, inst)
                 if survivor is not inst:
+                    if forward is None:
+                        forward, folded, gone = {}, set(), []
                     forward[inst] = survivor
                     del insts[epoch]
                     folded.add(fid)
                     gone.append((fid, epoch))
-        return tuple(gone)
+        return () if forward is None else tuple(gone)
 
 
 def _aggregate(inst: _Instance, want: bool) -> str:

@@ -239,6 +239,33 @@ class TestMachineSnapshot:
         assert d["evaluations"][0] == {"formula": "a", "epoch": 0, "value": "F"}
         assert {"rule": "R[a | F b]R", "epoch": 0} in d["active"]
 
+    def test_outcome_contract(self):
+        """Over seeded depth-3 runs, an outcome is read-only, its
+        evaluations fire exactly the state_before instances in order, its
+        observations are sorted and its dict keeps its keys."""
+        rng = random.Random(1618)
+        fields = ("system", "cell", "verdict", "state_before", "observations", "values", "state_after", "folded")
+        fields += ("evaluations",)
+        outcomes = 0
+        for _ in range(300):
+            system = compile_formula(random_formula(3, ["a", "b"], rng))
+            cells = tuple(frozenset(x for x in "abc" if rng.random() < 0.4) for _ in range(rng.randint(1, 8)))
+            for outcome in run_trace(system, Trace(cells)).outcomes:
+                outcomes += 1
+                for name in fields:
+                    with pytest.raises(AttributeError):
+                        setattr(outcome, name, None)
+                assert [(fid, epoch) for fid, epoch, _ in outcome.evaluations] == [
+                    (fid, epoch) for fid, epoch, _ in outcome.state_before
+                ]
+                assert [value for _, _, value in outcome.evaluations] == list(outcome.values)
+                assert list(outcome.observations) == sorted(cells[outcome.cell])
+                d = outcome.to_dict()
+                assert list(d) == ["cell", "verdict", "observations", "evaluations", "active"]
+                assert all(list(e) == ["formula", "epoch", "value"] for e in d["evaluations"])
+                assert all(list(e) == ["rule", "epoch"] for e in d["active"] or ())
+        assert outcomes > 600
+
 
 class TestInvariants:
     def test_single_pass_per_instance(self):
