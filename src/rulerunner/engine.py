@@ -11,7 +11,7 @@ instances it reads, by reference, in one list: an and/or the operands its
 mode reads, a next or weak next the operand instance it spawned for the
 following cell, an eventually or always the operand instances it still
 waits on, and an until the operand pair of every cell that can still
-witness it, a resolved operand replaced by a shared settled stand-in.
+witness it, a decided operand replaced by a shared settled stand-in.
 Operands carry smaller subformula ids than their parents, so the instance
 graph is acyclic.  An instance's epoch, its key in the monitor's map for
 its subformula, names the oldest spawn cell of the class of equivalent
@@ -20,12 +20,15 @@ and rendered in epoch order, and tagged ``@epoch`` when several are live.
 
 A cell is processed in three passes.  Firing gives each live instance its
 value once, in compiled (post-order) order, from the observations up.  One
-sweep from the root down then drops each instance that is resolved or that
-the root no longer reaches through unresolved ones, so it is never stepped
-again, and reactivates each kept one for the next cell, spawning fresh
-operand instances, except an until that no later cell can witness (mode L
-or R).  Last, instances of one subformula with identical futures -- same
-mode, same operand list -- are folded into the oldest one, so `explain` and
+sweep from the root down then drops each instance that is decided or that
+the root no longer reaches through undecided ones, so it is never stepped
+again, and reactivates each kept one for the next cell by one rule, the
+paper's ``[f]?X -> R[f]X``: the annotation of its undecided value is its
+next mode.  An and/or then lets go of the operand that mode does not read,
+and a temporal operator spawns fresh operand instances, except in mode L or
+R (no later cell can witness an until) or when it already mirrors (mode M).
+Last, instances of one subformula with identical futures -- same mode, same
+operand list -- are folded into the oldest one, so `explain` and
 `StepOutcome.to_dict()` show one row per class.  With operand instances
 folded bottom-up, the live state is bounded by the formula alone, whatever
 the trace length; for formulae whose temporal operators have purely
@@ -86,25 +89,23 @@ class _Instance:
     always, the operand instances it still waits on; for an until, the
     (operand one, operand two) pair of every cell that can still witness
     it, flattened, oldest first, with `_T`/`_F` in place of an operand that
-    resolved."""
+    is decided."""
 
-    __slots__ = ("mode", "value", "resolved", "ops")
+    __slots__ = ("mode", "value", "ops")
 
-    def __init__(self, mode: EvalMode):
+    def __init__(self, mode: EvalMode, ops: list[_Instance] | tuple):
         self.mode = mode
         self.value: TruthValue | None = None
-        self.resolved = False
-        self.ops: list[_Instance] | tuple = ()
+        self.ops = ops
 
 
 def _settled(value: TruthValue) -> _Instance:
-    inst = _Instance(_PLAIN)
+    inst = _Instance(_PLAIN, ())
     inst.value = value
-    inst.resolved = True
     return inst
 
 
-# Shared stand-ins for an until operand that resolved; never live themselves.
+# Shared stand-ins for a decided until operand; never live themselves.
 _T = _settled(TRUE)
 _F = _settled(FALSE)
 
@@ -118,20 +119,21 @@ def _decide_until(inst: _Instance, at_end: bool) -> TruthValue:
     does), and every cell after the first whose operand one failed."""
     pairs = iter(inst.ops)
     kept: list[_Instance] = []
-    entries: list[tuple[_Instance, _Instance]] = []
-    chain_broken = False
+    seen: set[tuple[_Instance, _Instance]] = set()
     chain_pending = False
     live = False
     blocked_witness = False
     for left, right in zip(pairs, pairs):
-        if left.resolved:
-            left = _T if left.value.kind == "T" else _F
-        if right.resolved:
-            right = _T if right.value.kind == "T" else _F
+        kind = left.value.kind
+        if kind != "?":
+            left = _T if kind == "T" else _F
+        kind = right.value.kind
+        if kind != "?":
+            right = _T if kind == "T" else _F
         entry = (left, right)
-        if chain_broken or (left is _T and right is _F) or entry in entries:
+        if (left is _T and right is _F) or entry in seen:
             continue
-        entries.append(entry)
+        seen.add(entry)
         kept += entry
         if right is _T:
             if not chain_pending:
@@ -142,20 +144,17 @@ def _decide_until(inst: _Instance, at_end: bool) -> TruthValue:
             live = True
         elif right is not _F:
             live = True
-        if left is _F:
-            chain_broken = True
-        elif left is not _T:
+        if left is _F:  # the chain broke, so no later cell can witness it
+            inst.ops = kept
+            return (truth.UND_L if blocked_witness else truth.UND_R) if live else FALSE
+        if left is not _T:
             chain_pending = True
-    # in modes A and B the last entry read is the current cell's
-    current_open = right is _F and not left.resolved
     inst.ops = kept
-    if not live and (at_end or chain_broken):
+    if not live and at_end:
         return FALSE
     if blocked_witness:
         return truth.UND_L
-    if chain_broken:
-        return truth.UND_R
-    if current_open:
+    if right is _F and left.value.kind == "?":  # the last entry read is the current cell's
         return truth.UND_B
     return truth.UND_A
 
@@ -255,17 +254,12 @@ class Monitor:
         live = self._live
         nodes = self._nodes
         for name in self._init_sets[fid]:
-            sub_fid = name.fid
-            insts = live[sub_fid]
-            if epoch in insts:
-                continue
-            sub = nodes[sub_fid]
-            code = sub.code
-            inst = insts[epoch] = _Instance(name.mode)
-            if code >= K_OR and code != K_NEXT and code != K_WEAKNEXT:  # a next reads from the next cell on
-                ops = inst.ops = [live[sub.left][epoch]]
-                if sub.right is not None:
-                    ops.append(live[sub.right][epoch])
+            insts = live[name.fid]
+            if epoch not in insts:
+                ops = []
+                for x in nodes[name.fid].spawn_ops:  # a loop costs less than a comprehension here on 3.11
+                    ops.append(live[x][epoch])
+                insts[epoch] = _Instance(name.mode, ops)
         return live[fid][epoch]
 
     def clone(self) -> Monitor:
@@ -286,9 +280,7 @@ class Monitor:
         for insts in self._live:  # operands carry smaller ids, so they are copied first
             mine = {}
             for epoch, inst in insts.items():
-                copy = copies[inst] = mine[epoch] = _Instance(inst.mode)
-                ops = inst.ops
-                copy.ops = [copies[sub] for sub in ops] if ops.__class__ is list else ops
+                copies[inst] = mine[epoch] = _Instance(inst.mode, [copies[sub] for sub in inst.ops])
             live.append(mine)
         twin._root = copies[self._root]
         return twin
@@ -338,7 +330,6 @@ class Monitor:
                     value = TRUE
                 for inst in insts.values():
                     inst.value = value
-                    inst.resolved = True
                 continue
             tables = _TABLES[code]
             for inst in insts.values():
@@ -358,8 +349,6 @@ class Monitor:
                 else:
                     value = tables[0][(_aggregate(inst, code == K_EVENTUALLY), is_last)]
                 inst.value = value
-                if value.kind != "?":
-                    inst.resolved = True
 
     def _settle(self) -> tuple[tuple[int, int], ...]:
         """Take the verdict from the root's value and, while undecided, make
@@ -375,13 +364,15 @@ class Monitor:
     # -- between cells ---------------------------------------------------------
 
     def _reactivate(self, nxt: int) -> None:
-        """Make the next cell's state from the unresolved instances the root
-        reaches through unresolved ones, dropping the rest: each kept one
-        reactivates in place, spawning fresh operand instances at `nxt`.
-        Operands carry smaller ids than their parents, so one sweep from the
-        root's id down sees every parent first, and a subformula's map grows
-        only while its parents are swept; the sweep passes over the instances
-        it spawned, the only ones with epoch `nxt`."""
+        """Make the next cell's state from the undecided instances the root
+        reaches through undecided ones, dropping the rest.  Each kept one
+        takes its value's annotation as its next mode; then an and/or lets
+        go of the operand that mode does not read, and a temporal operator
+        spawns its operands at `nxt` again unless that mode is L or R or it
+        already mirrors (M).  Operands carry smaller ids than their parents,
+        so one sweep from the root's id down sees every parent first, and a
+        subformula's map grows only while its parents are swept; the sweep
+        passes over the instances it spawned, the only ones with epoch `nxt`."""
         spawn = self._spawn
         held = {self._root}
         for node, insts in zip(reversed(self._nodes), reversed(self._live)):
@@ -392,24 +383,21 @@ class Monitor:
             for epoch, inst in insts.items():
                 if epoch == nxt:
                     continue
-                if inst.resolved or inst not in held:
+                value = inst.value
+                if value.kind != "?" or inst not in held:  # leaves never outlive their cell
                     dropped.append(epoch)
                     continue
-                if code == K_OR or code == K_AND:
-                    mode = inst.value.mode
-                    if mode is not inst.mode:  # to L or R: stop reading the decided operand
-                        inst.mode = mode
-                        inst.ops.pop(1 if mode is _L else 0)
-                elif code == K_UNTIL:
-                    mode = inst.mode = inst.value.mode
-                    if mode is not _L and mode is not _R:  # in L and R no later cell can witness it
-                        inst.ops += (spawn(node.left, nxt), spawn(node.right, nxt))
-                elif code == K_EVENTUALLY or code == K_ALWAYS:
-                    inst.ops.append(spawn(node.left, nxt))
-                elif inst.mode is _PLAIN:  # a next or weak next; leaves never outlive their cell
-                    inst.mode = _M
-                    inst.ops = [spawn(node.left, nxt)]
-                held.update(inst.ops)
+                mode = value.mode
+                ops = inst.ops
+                if code <= K_AND:  # an and/or
+                    if mode is not inst.mode:
+                        ops.pop(1 if mode is _L else 0)
+                elif mode is not _L and mode is not _R and inst.mode is not _M:
+                    ops.append(spawn(node.left, nxt))
+                    if node.right is not None:
+                        ops.append(spawn(node.right, nxt))
+                inst.mode = mode
+                held.update(ops)
             for epoch in dropped:
                 del insts[epoch]
 
@@ -450,14 +438,15 @@ class Monitor:
 
 def _aggregate(inst: _Instance, want: bool) -> str:
     """Kind of the combined operand view of an eventually (`want` True) or
-    always across the operand instances it waits on: one resolved witness
+    always across the operand instances it waits on: one decided witness
     decides, otherwise undecided while anything is pending."""
     pending: list[_Instance] = []
     for sub in inst.ops:
-        if not sub.resolved:
+        kind = sub.value.kind
+        if kind == "?":
             if sub not in pending:  # two operands may have folded into one
                 pending.append(sub)
-        elif (sub.value.kind == "T") is want:
+        elif (kind == "T") is want:
             return "T" if want else "F"
     inst.ops = pending
     if pending:

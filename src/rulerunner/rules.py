@@ -2,9 +2,11 @@
 
 `compile_formula` builds only what the engine steps from: the subformula
 index, one `NodeInfo` per subformula (operator kind, its dispatch code
-`code`, atom and operand ids) and `init_sets`, the rule names each
-subformula activates when it is spawned (the root's set is the initial
-state; an operator starts in the first mode of its `truth.TABLES` entry).
+`code`, atom, operand ids, and `spawn_ops`, the operands an instance holds
+from its spawn cell on: all of them, but none for a next or weak next) and
+`init_sets`, the rule names each subformula activates when it is spawned,
+its own and those of its `spawn_ops` (the root's set is the initial state;
+an operator starts in the first mode of its `truth.TABLES` entry).
 
 The evaluation and reactivation rules are a view built on the first read of
 `RuleSystem.eval_rules` or `react_rules` and cached, by walking the same
@@ -126,6 +128,7 @@ class NodeInfo:
     atom: str | None = None
     left: int | None = None
     right: int | None = None
+    spawn_ops: tuple[int, ...] = ()  # the operand ids an instance holds from its spawn cell on
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,9 @@ class RuleSystem:
 
     def formula_text(self, fid: int) -> str:
         return self.index.text(fid)
+
+    def __repr__(self) -> str:
+        return f"RuleSystem({self.formula_text(self.root)!r})"
 
     @property
     def eval_rules(self) -> tuple[EvaluationRule, ...]:
@@ -172,9 +178,12 @@ def _node_info(f: Formula, index: SubformulaIndex) -> NodeInfo:
     if isinstance(f, (Atom, NegAtom)):
         return NodeInfo(kind, code, atom=f.name)
     if isinstance(f, Binary):
-        return NodeInfo(kind, code, left=index.id_of(f.left), right=index.id_of(f.right))
+        left, right = index.id_of(f.left), index.id_of(f.right)
+        return NodeInfo(kind, code, left=left, right=right, spawn_ops=(left, right))
     if isinstance(f, Unary):
-        return NodeInfo(kind, code, left=index.id_of(f.sub))
+        sub = index.id_of(f.sub)
+        # a next or weak next holds its operand only from the next cell
+        return NodeInfo(kind, code, left=sub, spawn_ops=() if isinstance(f, (Next, WeakNext)) else (sub,))
     return NodeInfo(kind, code)
 
 
@@ -187,11 +196,7 @@ def compile_formula(f: Formula) -> RuleSystem:
     for fid, node in enumerate(nodes):
         # an operator starts in its table's first mode, a leaf plain
         own = (RuleName(fid, next(iter(truth.TABLES.get(node.kind, (EvalMode.PLAIN,))))),)
-        if node.code < K_OR or node.code == K_NEXT or node.code == K_WEAKNEXT:
-            init_sets.append(own)  # a leaf, or a next, whose operand starts in the next cell
-        else:
-            right = () if node.right is None else init_sets[node.right]
-            init_sets.append(_merge(init_sets[node.left], right, own))
+        init_sets.append(_merge(own, *[init_sets[x] for x in node.spawn_ops]) if node.spawn_ops else own)
     return RuleSystem(index, nodes, tuple(init_sets), index.root)
 
 

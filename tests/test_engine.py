@@ -156,6 +156,22 @@ class TestStepExamples:
         assert verdict_of("a U b", "[a - a - a]") is Verdict.FAILURE
         assert verdict_of("a U b", "[a - a - b]") is Verdict.SUCCESS
 
+    # an until root's value at every cell it fires: every annotation an
+    # until can answer, and both verdicts
+    UNTIL_RUNS = [
+        ("(F a) U b", "[. - b - .]", ["?B", "?L", "F"]),  # b witnesses at cell 1, F a never holds
+        ("(F a) U b", "[. - b - a]", ["?B", "?L", "T"]),  # ... and a confirms the witness at cell 2
+        ("a U (F b)", "[. - . - b]", ["?R", "?R", "T"]),  # a failed at cell 0, only F b can decide
+        ("a U b", "[a - c - a]", ["?A", "F"]),  # the chain breaks at cell 1 with no witness
+        ("a U b", "[a - b - a]", ["?A", "T"]),
+    ]
+
+    @pytest.mark.parametrize("text, trace, values", UNTIL_RUNS, ids=[f"{t} over {u}" for t, u, _ in UNTIL_RUNS])
+    def test_until_value_per_cell(self, text, trace, values):
+        system = system_for(text)
+        outcomes = run_trace(system, parse_trace_inline(trace)).outcomes
+        assert [str(value) for o in outcomes for fid, _, value in o.evaluations if fid == system.root] == values
+
 
 class TestRunTrace:
     def test_empty_trace_rejected(self):
@@ -238,6 +254,15 @@ class TestMachineSnapshot:
         assert d["observations"] == ["c"]
         assert d["evaluations"][0] == {"formula": "a", "epoch": 0, "value": "F"}
         assert {"rule": "R[a | F b]R", "epoch": 0} in d["active"]
+
+    def test_outcome_repr_names_the_formula_not_the_system(self):
+        spec = " & ".join(f"G (!p{i} | F q{i})" for i in range(20))
+        for text in ("G F a", spec):
+            system = system_for(text)
+            outcome = Monitor(system).step({"p0"})
+            assert repr(system) == f"RuleSystem({system.formula_text(system.root)!r})"
+            assert "NodeInfo" not in repr(outcome)
+            assert len(repr(outcome)) == len(repr(outcome._replace(system=None))) - len("None") + len(repr(system))
 
     def test_outcome_contract(self):
         """Over seeded depth-3 runs, an outcome is read-only, its
@@ -355,6 +380,25 @@ class TestInvariants:
                     kinds.update(system.nodes[fid].kind for inst, fid in live.items() if inst.ops)
                     checks += 1
         assert {"eventually", "always", "until"} <= kinds
+        assert checks > 8_000
+
+    def test_kept_undecided_instance_takes_its_annotation_as_mode(self):
+        """The reactivation rule: every instance that stays live undecided
+        is monitored in the next cell in the mode its value names."""
+        rng = random.Random(1729)
+        checks = 0
+        for _ in range(600):
+            system = compile_formula(random_formula(3, ["a", "b"], rng))
+            for _ in range(4):
+                _, cells = random_run(rng, 0, rng.randint(1, 10))
+                for outcome in run_trace(system, Trace(cells)).outcomes:
+                    if outcome.state_after is None:
+                        break
+                    modes = {(fid, epoch): mode for fid, epoch, mode in outcome.state_after}
+                    for fid, epoch, value in outcome.evaluations:
+                        if value.kind == "?" and (fid, epoch) in modes:
+                            assert modes[fid, epoch] is value.mode, (system.formula_text(system.root), cells)
+                            checks += 1
         assert checks > 8_000
 
     def test_early_verdict_is_stable_under_extension(self):
@@ -629,3 +673,37 @@ def test_rendered_runs_match_pinned_digest():
                 digest.update(json.dumps(outcome.to_dict()).encode())
                 digest.update(repr(outcome.folded).encode())
     assert digest.hexdigest() == RENDERED_RUNS_DIGEST
+
+
+# sha256 of the instance graphs and cache states below; a change to it means
+# `instances()`, `live_count()`, a cached verdict or a cache's size changed
+INSTANCE_GRAPHS_DIGEST = "07b4712142ea6dafb7d0269fb71f12d2c13c5feab4cf6a0a42516fb8ae278a12"
+
+
+def test_instance_graphs_and_cache_states_match_pinned_digest():
+    """A refactor of the engine leaves the state between cells as it was:
+    the live instance graph and count after every `advance`, and each run's
+    cached verdict and the number of states its `CachedMonitor` keeps after
+    it, forwards and reversed, over 3,000 seeded runs of depth-2 to depth-4
+    formulae."""
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    for k in range(1000):
+        system = compile_formula(random_formula(2 + k % 3, ["a", "b"], rng))
+        cache = CachedMonitor(system)
+        for _ in range(3):
+            _, cells = random_run(rng, 0, rng.randint(1, 30), "abc")
+            monitor = Monitor(system)
+            for i, cell in enumerate(cells):
+                verdict = monitor.advance(cell, is_last=(i == len(cells) - 1))
+                graph = [
+                    [fid, epoch, mode.name, [op if isinstance(op, tuple) else str(op) for op in ops]]
+                    for fid, epoch, mode, ops in monitor.instances()
+                ]
+                digest.update(json.dumps([str(verdict), monitor.live_count(), graph]).encode())
+                if verdict is not Verdict.UNDECIDED:
+                    break
+            for walk in (cells, cells[::-1]):
+                verdict, cell = cache.run(walk)
+                digest.update(f"{verdict} {cell} {len(cache)};".encode())
+    assert digest.hexdigest() == INSTANCE_GRAPHS_DIGEST
