@@ -8,6 +8,19 @@ left-associative.  Atom names match ``ATOM_RE``, ``[a-z][a-z0-9_]*``.
 Each operator class states its shape by deriving from `Unary` or `Binary`
 and carries its concrete ``symbol`` and, if binary, its precedence
 ``level``; the negation duals `to_nnf` applies are the table `_DUAL`.
+
+The parser climbs the binary precedence levels in one loop over the table
+`_BINARY_OPS`, so its recursion nests only along a right-nested ``U``
+chain, prefix operators and parentheses.  `to_nnf`, `is_nnf`, `format_formula` and
+`SubformulaIndex` walk with explicit stacks, so a wide formula such as a
+1,000-conjunct ``&`` chain needs no deep recursion.  `SubformulaIndex`
+numbers the distinct subformulae in one post-order walk that knows a node
+by its class and its operands' ids (a leaf by its class and name), never by
+hashing or comparing a formula, and composes a subformula's text from its
+operands' texts on first read; `id_of` finds a formula's id by the same
+walk.  The tables `_BINARY_TEXT`, `_PREFIX_TEXT` and `_LEVEL` state how
+each operator prints and when an operand takes parentheses, once, for those
+texts and for `format_formula`, which emits its text left to right.
 """
 
 from __future__ import annotations
@@ -103,12 +116,13 @@ class NnfError(ValueError):
 
 ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
-_OPERATORS = {cls.symbol: cls for cls in (Not, Next, WeakNext, Eventually, Always, Or, And, Until)}
+_PREFIX_OPS = {cls.symbol: cls for cls in (Not, Next, WeakNext, Eventually, Always)}
+_BINARY_OPS = {cls.symbol: cls for cls in (Or, And, Until)}
 _ALIASES = {"<>": "F", "[]": "G"}
 
 _TOKEN_RE = re.compile(
     rf"\s*(?:(?P<atom>{ATOM_RE.pattern})"
-    rf"|(?P<sym>{'|'.join(map(re.escape, _ALIASES))}|[{re.escape(''.join(_OPERATORS) + '()')}]))"
+    rf"|(?P<sym>{'|'.join(map(re.escape, _ALIASES))}|[{re.escape(''.join([*_PREFIX_OPS, *_BINARY_OPS, '(', ')']))}]))"
 )
 
 # prefix operators bind tighter than any Binary.level, so never need parentheses
@@ -167,30 +181,28 @@ class _Parser:
             raise ParseError(f"unexpected token {val!r}", pos)
         return f
 
-    def operator(self) -> type[Formula] | None:
-        kind, val, _ = self.tokens[self.i]
-        return _OPERATORS.get(val) if kind == "op" else None
-
     def binary_expr(self, level: int = Or.level) -> Formula:
         """A formula whose binary operators outside parentheses have at least
-        this precedence level."""
-        if level == _LEVEL_UNARY:
-            return self.unary_expr()
-        f = self.binary_expr(level + 1)
-        op = self.operator()
-        while op is not None and issubclass(op, Binary) and op.level == level:
-            self.advance()
-            if op is Until:  # U groups to the right, & and | to the left
-                return Until(f, self.binary_expr(level))
-            f = op(f, self.binary_expr(level + 1))
-            op = self.operator()
-        return f
+        this precedence level.  Each such operator in turn takes the formula
+        built so far and, as its right operand, the formula that follows at
+        its own level (U, grouping to the right) or one tighter (& and |,
+        grouping to the left)."""
+        f = self.unary_expr()
+        tokens = self.tokens
+        while True:
+            kind, val, _ = tokens[self.i]
+            op = _BINARY_OPS.get(val) if kind == "op" else None
+            if op is None or op.level < level:
+                return f
+            self.i += 1
+            f = op(f, self.binary_expr(op.level if op is Until else op.level + 1))
 
     def unary_expr(self) -> Formula:
-        op = self.operator()
-        if op is None or issubclass(op, Binary):
+        kind, val, _ = self.tokens[self.i]
+        op = _PREFIX_OPS.get(val) if kind == "op" else None
+        if op is None:
             return self.primary()
-        self.advance()
+        self.i += 1
         sub = self.unary_expr()
         if op is Not and isinstance(sub, Atom):
             return NegAtom(sub.name)
@@ -223,91 +235,212 @@ def to_nnf(f: Formula) -> Formula:
     """Push negations down to the literals and cancel double negations.
 
     Rejects negated until (the grammar has no release operator) and negated
-    `true` (there is no false literal).
+    `true` (there is no false literal).  Walks with an explicit stack, left
+    operand first, and hands back a negation-free subtree as it is.  A
+    formula already in NNF, as every negation-free text parses to, comes
+    back after the cheaper `is_nnf` walk alone.
     """
-    if isinstance(f, Binary):
-        return type(f)(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Unary):
-        return type(f)(to_nnf(f.sub))
-    if not isinstance(f, Not):
-        return f  # true or a literal
-    g = f.sub
-    if isinstance(g, TrueConst):
-        raise NnfError("!true has no NNF form: the grammar has no false literal")
-    if isinstance(g, Atom):
-        return NegAtom(g.name)
-    if isinstance(g, NegAtom):
-        return Atom(g.name)
-    if isinstance(g, Not):
-        return to_nnf(g.sub)
-    if isinstance(g, Until):
-        raise NnfError("negated until has no NNF form: the grammar has no release operator")
-    if isinstance(g, Binary):
-        return _DUAL[type(g)](to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-    return _DUAL[type(g)](to_nnf(Not(g.sub)))
+    if is_nnf(f):
+        return f
+    done: list[Formula] = []  # normalised operands, awaiting their operator
+    todo: list[tuple[Formula, bool, bool]] = [(f, False, False)]  # (formula, negated, operands done)
+    while todo:
+        g, negated, ready = todo.pop()
+        while isinstance(g, Not):
+            g, negated = g.sub, not negated
+        cls = g.__class__
+        if ready:
+            op = _DUAL[cls] if negated else cls
+            if issubclass(cls, Binary):
+                right = done.pop()
+                left = done[-1]
+                done[-1] = g if op is cls and left is g.left and right is g.right else op(left, right)
+            else:
+                sub = done[-1]
+                done[-1] = g if op is cls and sub is g.sub else op(sub)
+        elif issubclass(cls, Binary):
+            if negated and cls is Until:
+                raise NnfError("negated until has no NNF form: the grammar has no release operator")
+            todo += ((g, negated, True), (g.right, negated, False), (g.left, negated, False))
+        elif issubclass(cls, Unary):
+            todo += ((g, negated, True), (g.sub, negated, False))
+        elif not negated:
+            done.append(g)  # true or a literal
+        elif cls is TrueConst:
+            raise NnfError("!true has no NNF form: the grammar has no false literal")
+        else:
+            done.append(NegAtom(g.name) if cls is Atom else Atom(g.name))
+    return done[0]
 
 
 def is_nnf(f: Formula) -> bool:
-    if isinstance(f, Binary):
-        return is_nnf(f.left) and is_nnf(f.right)
-    if isinstance(f, Unary):
-        return is_nnf(f.sub)
-    return not isinstance(f, Not)
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Binary):
+            todo += (g.right, g.left)
+        elif isinstance(g, Unary):
+            todo.append(g.sub)
+        elif isinstance(g, Not):
+            return False
+    return True
 
 
-def _fmt(f: Formula, ctx: int) -> str:
-    if isinstance(f, Binary):
-        level = f.level
-        right = isinstance(f, Until)  # U groups to the right, & and | to the left
-        text = _fmt(f.left, level + right) + f" {f.symbol} " + _fmt(f.right, level + 1 - right)
-        return f"({text})" if level < ctx else text
-    if isinstance(f, Unary):
-        return f.symbol + " " + _fmt(f.sub, _LEVEL_UNARY)
-    if isinstance(f, Not):
-        return f.symbol + _fmt(f.sub, _LEVEL_UNARY)
-    if isinstance(f, NegAtom):
-        return "!" + f.name
-    if isinstance(f, Atom):
-        return f.name
-    assert isinstance(f, TrueConst)
-    return "true"
+# how each binary operator prints: (the place of its left operand, its infix,
+# the place of its right operand); U groups to the right, & and | to the left,
+# so the grouping side's place is the operator's own level
+_BINARY_TEXT = {
+    cls: (cls.level + (cls is Until), f" {cls.symbol} ", cls.level + (cls is not Until)) for cls in _BINARY_OPS.values()
+}
+_PREFIX_TEXT = {cls: cls.symbol + ("" if cls is Not else " ") for cls in _PREFIX_OPS.values()}
+# how tightly each class binds: an operand prints in parentheses when this is
+# below its place
+_LEVEL = dict.fromkeys((TrueConst, Atom, NegAtom, *_PREFIX_OPS.values()), _LEVEL_UNARY) | {
+    cls: cls.level for cls in _BINARY_OPS.values()
+}
+
+
+def _wrap(operand: Formula, text: str, place: int) -> str:
+    return f"({text})" if _LEVEL[operand.__class__] < place else text
+
+
+def _compose(f: Formula, texts: list[str]) -> str:
+    """The text of `f` from its operands' texts."""
+    cls = f.__class__
+    if cls in _BINARY_TEXT:
+        left, infix, right = _BINARY_TEXT[cls]
+        return _wrap(f.left, texts[0], left) + infix + _wrap(f.right, texts[1], right)
+    if cls in _PREFIX_TEXT:
+        return _PREFIX_TEXT[cls] + _wrap(f.sub, texts[0], _LEVEL_UNARY)
+    return format_formula(f)  # a leaf
 
 
 def format_formula(f: Formula) -> str:
-    """Render with minimal parentheses; inverse of parse_formula."""
-    return _fmt(f, 0)
+    """Render with minimal parentheses; inverse of parse_formula.
+
+    Emits the text left to right: it follows each left operand or prefix
+    operand down at once and stacks what prints after it (a closing
+    parenthesis, an operator, a right operand)."""
+    text = ""
+    todo: list[Formula | str] = [f]
+    while todo:
+        g = todo.pop()
+        cls = g.__class__
+        if cls is str:
+            text += g
+            continue
+        while True:  # down the left spine, as the left or prefix operand prints next
+            if cls is Atom:
+                text += g.name
+                break
+            binary = _BINARY_TEXT.get(cls)
+            if binary is not None:
+                place, infix, right_place = binary
+                right = g.right
+                if _LEVEL[right.__class__] < right_place:
+                    todo += (")", right, "(")
+                else:
+                    todo.append(right)
+                todo.append(infix)
+                g = g.left
+            elif cls is NegAtom:
+                text += "!" + g.name
+                break
+            elif cls is TrueConst:
+                text += "true"
+                break
+            else:
+                text += _PREFIX_TEXT[cls]
+                g, place = g.sub, _LEVEL_UNARY
+            cls = g.__class__
+            if _LEVEL[cls] < place:
+                text += "("
+                todo.append(")")
+    return text
 
 
 class SubformulaIndex:
-    """Distinct subformulae in post-order; children receive smaller ids."""
+    """Distinct subformulae in post-order; children receive smaller ids.
+
+    One explicit-stack walk numbers them: a node is known by its class and
+    its operands' ids (an atom by its class and name), so structurally equal
+    subformulae share an id without hashing or comparing formulae, and a
+    node object met again is found by its `id()`.  `kids[fid]` holds the
+    operand ids of subformula `fid`; its text is composed from theirs on
+    first read.  `id_of` looks a formula up by the same walk.
+    """
 
     def __init__(self, root: Formula):
         self.formulas: list[Formula] = []
-        self.ids: dict[Formula, int] = {}
-        self._texts: list[str] = []
-        self._collect(root)
-        self.root = self.ids[root]
+        self.kids: list[tuple[int, ...]] = []
+        self._keys: dict[tuple, int] = {}
+        self.root = self._walk(root, add=True)
+        self._texts: list[str | None] = [None] * len(self.formulas)
 
-    def _collect(self, f: Formula) -> None:
-        if f in self.ids:
-            return
-        if isinstance(f, Binary):
-            self._collect(f.left)
-            self._collect(f.right)
-        elif isinstance(f, Unary):
-            self._collect(f.sub)
-        elif isinstance(f, Not):
-            raise NnfError("subformula indexing requires NNF input")
-        self.ids[f] = len(self.formulas)
-        self.formulas.append(f)
-        self._texts.append(format_formula(f))
+    def _walk(self, root: Formula, add: bool) -> int:
+        """The id of `root`, numbering each subformula not met before if
+        `add`, else raising KeyError for it."""
+        keys, formulas, kids = self._keys, self.formulas, self.kids
+        seen: dict[int, int] = {}  # id() of a numbered node -> its fid; `root` keeps every node alive
+        todo = [root]
+        while todo:
+            f = todo[-1]
+            cls = f.__class__
+            if issubclass(cls, Binary):
+                left, right = seen.get(id(f.left)), seen.get(id(f.right))
+                if left is None or right is None:  # number the left operand's subtree, then the right one's
+                    if right is None:
+                        todo.append(f.right)
+                    if left is None:
+                        todo.append(f.left)
+                    continue
+                operands = (left, right)
+            elif issubclass(cls, Unary):
+                sub = seen.get(id(f.sub))
+                if sub is None:
+                    todo.append(f.sub)
+                    continue
+                operands = (sub,)
+            elif cls is Not:
+                raise NnfError("subformula indexing requires NNF input")
+            else:
+                operands = ()
+            todo.pop()
+            key = (cls, operands) if operands else (cls, getattr(f, "name", None))  # a leaf is known by its name
+            fid = keys.get(key)
+            if fid is None:
+                if not add:
+                    raise KeyError(f"no subformula {format_formula(f)}")
+                fid = keys[key] = len(formulas)
+                formulas.append(f)
+                kids.append(operands)
+            seen[id(f)] = fid
+        return seen[id(root)]
 
     def __len__(self) -> int:
         return len(self.formulas)
 
     def id_of(self, f: Formula) -> int:
-        return self.ids[f]
+        """The id of the subformula structurally equal to `f`."""
+        return self._walk(f, add=False)
 
     def text(self, fid: int) -> str:
-        return self._texts[fid]
+        text = self._texts[fid]
+        return self._compose_texts(fid) if text is None else text
 
+    def _compose_texts(self, fid: int) -> str:
+        """Compose the text of `fid` and of each operand below it that has none yet, operands first."""
+        texts, kids = self._texts, self.kids
+        todo = [fid]
+        while todo:
+            g = todo[-1]
+            if texts[g] is not None:  # an operand pushed twice
+                todo.pop()
+                continue
+            missing = [k for k in kids[g] if texts[k] is None]
+            if missing:
+                todo += missing
+                continue
+            todo.pop()
+            texts[g] = _compose(self.formulas[g], [texts[k] for k in kids[g]])
+        return texts[fid]

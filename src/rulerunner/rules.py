@@ -6,7 +6,12 @@ index, one `NodeInfo` per subformula (operator kind, its dispatch code
 from its spawn cell on: all of them, but none for a next or weak next) and
 `init_sets`, the rule names each subformula activates when it is spawned,
 its own and those of its `spawn_ops` (the root's set is the initial state;
-an operator starts in the first mode of its `truth.TABLES` entry).
+an operator starts in the first mode of its `truth.TABLES` entry).  It
+reads the index's post-order ids and each subformula's operand ids
+(`SubformulaIndex.kids`) and formats and hashes no formula: each fid's
+initial `RuleName` is made once, and an initial set, kept sorted by fid, is
+its operands' sets merged by fid (`_merge`, which concatenates when the
+operands' subtrees share no subformula) followed by its own name.
 
 The evaluation and reactivation rules are a view built on the first read of
 `RuleSystem.eval_rules` or `react_rules` and cached, by walking the same
@@ -32,7 +37,6 @@ from .ltl import (
     Always,
     And,
     Atom,
-    Binary,
     Eventually,
     Formula,
     NegAtom,
@@ -40,7 +44,6 @@ from .ltl import (
     Or,
     SubformulaIndex,
     TrueConst,
-    Unary,
     Until,
     WeakNext,
 )
@@ -164,40 +167,40 @@ class RuleSystem:
         return _build_listing(self)
 
 
-def _merge(*name_groups: tuple[RuleName, ...]) -> tuple[RuleName, ...]:
-    seen: dict[RuleName, None] = {}
-    for group in name_groups:
-        for name in group:
-            seen.setdefault(name)
-    return tuple(sorted(seen, key=lambda r: (r.fid, r.mode.value)))
+def _merge(a: tuple[RuleName, ...], b: tuple[RuleName, ...]) -> tuple[RuleName, ...]:
+    """The union of two initial sets, each sorted by fid with one name per fid."""
+    if a[-1].fid < b[0].fid:  # every fid of b is above a's, as when the operands share no subformula
+        return a + b
+    by_fid = {name.fid: name for name in a}
+    by_fid.update((name.fid, name) for name in b)
+    return tuple(by_fid[fid] for fid in sorted(by_fid))
 
 
-def _node_info(f: Formula, index: SubformulaIndex) -> NodeInfo:
-    code = _CODE_OF[type(f)]
-    kind = KINDS[code]
-    if isinstance(f, (Atom, NegAtom)):
-        return NodeInfo(kind, code, atom=f.name)
-    if isinstance(f, Binary):
-        left, right = index.id_of(f.left), index.id_of(f.right)
-        return NodeInfo(kind, code, left=left, right=right, spawn_ops=(left, right))
-    if isinstance(f, Unary):
-        sub = index.id_of(f.sub)
-        # a next or weak next holds its operand only from the next cell
-        return NodeInfo(kind, code, left=sub, spawn_ops=() if isinstance(f, (Next, WeakNext)) else (sub,))
-    return NodeInfo(kind, code)
+# the mode a node starts in, by node code: an operator its table's first mode, a leaf plain
+_FIRST_MODE = tuple(next(iter(truth.TABLES.get(kind, (EvalMode.PLAIN,)))) for kind in KINDS)
 
 
 def compile_formula(f: Formula) -> RuleSystem:
     """Build the rule system for an NNF formula: its node table and the
     initial rule names of every subformula."""
     index = SubformulaIndex(f)
-    nodes = tuple(_node_info(g, index) for g in index.formulas)
+    nodes: list[NodeInfo] = []
     init_sets: list[tuple[RuleName, ...]] = []
-    for fid, node in enumerate(nodes):
-        # an operator starts in its table's first mode, a leaf plain
-        own = (RuleName(fid, next(iter(truth.TABLES.get(node.kind, (EvalMode.PLAIN,))))),)
-        init_sets.append(_merge(own, *[init_sets[x] for x in node.spawn_ops]) if node.spawn_ops else own)
-    return RuleSystem(index, nodes, tuple(init_sets), index.root)
+    for fid, (g, kids) in enumerate(zip(index.formulas, index.kids)):
+        code = _CODE_OF[g.__class__]
+        own = (RuleName(fid, _FIRST_MODE[code]),)
+        if len(kids) == 2:
+            nodes.append(NodeInfo(KINDS[code], code, left=kids[0], right=kids[1], spawn_ops=kids))
+            own = _merge(init_sets[kids[0]], init_sets[kids[1]]) + own  # operand fids are below fid
+        elif not kids:
+            nodes.append(NodeInfo(KINDS[code], code, atom=getattr(g, "name", None)))
+        elif code == K_NEXT or code == K_WEAKNEXT:  # a next holds its operand only from the next cell
+            nodes.append(NodeInfo(KINDS[code], code, left=kids[0]))
+        else:
+            nodes.append(NodeInfo(KINDS[code], code, left=kids[0], spawn_ops=kids))
+            own = init_sets[kids[0]] + own
+        init_sets.append(own)
+    return RuleSystem(index, tuple(nodes), tuple(init_sets), index.root)
 
 
 def _build_listing(sys: RuleSystem) -> tuple[tuple[EvaluationRule, ...], tuple[ReactivationRule, ...]]:
@@ -244,9 +247,13 @@ def _walk_tables(sys: RuleSystem, fid: int, node: NodeInfo, eval_rules: list, re
         # in modes L and R no later cell can witness an until, and in mode M a
         # next already holds its operand, so nothing is respawned
         respawn = node.code >= K_NEXT and mode not in (EvalMode.L, EvalMode.R, EvalMode.M)
-        respawned = [sys.init_sets[x] for x in (node.left, node.right) if respawn and x is not None]
-        nxt = EvalMode.M if node.code == K_NEXT or node.code == K_WEAKNEXT else mode
-        react_rules.append(ReactivationRule(fid, TruthValue("?", mode), _merge(*respawned, (RuleName(fid, nxt),))))
+        nxt = (RuleName(fid, EvalMode.M if node.code == K_NEXT or node.code == K_WEAKNEXT else mode),)
+        if respawn:
+            respawned = sys.init_sets[node.left]
+            if node.right is not None:
+                respawned = _merge(respawned, sys.init_sets[node.right])
+            nxt = respawned + nxt
+        react_rules.append(ReactivationRule(fid, TruthValue("?", mode), nxt))
 
 
 def rule_count_bound(f: Formula) -> int:

@@ -95,10 +95,19 @@ class TestRun:
         main(["run", "G a", "--trace", "[a - a]"])
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("formula", ["(" * 400 + "a" + ")" * 400, "X " * 700 + "a"])
+    @pytest.mark.parametrize("formula", ["(" * 400 + "a" + ")" * 400, "X " * 5000 + "a"])
     def test_formula_nested_too_deeply_exits_2(self, capsys, formula):
         assert main(["run", formula, "--trace", "a"]) == 2
         assert capsys.readouterr().err.strip() == "error: formula nested too deeply"
+
+    def test_long_next_chain_runs(self, capsys):
+        assert main(["run", "X " * 700 + "a", "--trace", "a"]) == 1
+        assert capsys.readouterr().out == "FAILURE at cell 0\n"
+
+    def test_thousand_conjunct_spec_runs(self, capsys):
+        spec = " & ".join(f"G (!p{i} | F q{i})" for i in range(1000))
+        assert main(["run", spec, "--trace", "[p0 - q0]"]) == 0
+        assert capsys.readouterr().out == "SUCCESS at cell 1\n"
 
 
 class TestStream:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import random
@@ -5,12 +6,25 @@ import random
 import pytest
 
 from rulerunner import (
+    Always,
+    And,
+    Atom,
     EvalMode,
+    Eventually,
+    NegAtom,
+    Next,
     NnfError,
+    Not,
+    Or,
+    TrueConst,
+    Until,
+    WeakNext,
     compile_formula,
     dump_rules,
     dump_rules_json,
     enumerate_formulas,
+    format_formula,
+    is_nnf,
     parse_formula,
     parse_trace_inline,
     random_formula,
@@ -329,6 +343,28 @@ class TestStructuralProperties:
         texts = [system.formula_text(i) for i in range(len(system.nodes))]
         assert texts.count("F a") == 1
 
+    def test_compile_hashes_and_compares_no_formula(self, monkeypatch):
+        formulas = [to_nnf(parse_formula(t)) for t in ("(a U b) | X (a U b)", "G (!p | F q) & G (!p | F q)")]
+        formulas += enumerate_formulas(1, ["a", "b"])
+        listings = [dump_rules(compile_formula(f)) for f in formulas]
+
+        def refuse(*args):
+            raise AssertionError("a formula was hashed or compared")
+
+        for cls in (TrueConst, Atom, NegAtom, Or, And, Until, Next, WeakNext, Eventually, Always):
+            monkeypatch.setattr(cls, "__hash__", refuse)
+            monkeypatch.setattr(cls, "__eq__", refuse)
+        assert [dump_rules(compile_formula(f)) for f in formulas] == listings
+
+    def test_wide_spec_compiles_and_prints(self):
+        text = wide_spec(1000)
+        f = parse_formula(text)
+        assert is_nnf(f) and to_nnf(f) is f
+        assert format_formula(f) == text  # as `diff` prints a mismatch
+        system = compile_formula(f)
+        assert repr(system) == f"RuleSystem({text!r})"
+        assert [name.fid for name in system.initial] == list(range(6 * 1000 - 1))  # no next defers a subformula
+
 
 class TestExclusivity:
     def test_guarded_rules_exclusive_on_sweep_corpus(self):
@@ -382,3 +418,51 @@ class TestMachineDump:
                 "output": {"formula": "F b", "value": "F"},
             }
         ]
+
+
+def wide_spec(n: int) -> str:
+    """A conjunction of n response properties."""
+    return " & ".join(f"G (!p{i} | F q{i})" for i in range(n))
+
+
+def compile_record(text: str) -> str:
+    """Everything parsing, printing, NNF and compile make of one formula text."""
+    parsed = parse_formula(text)
+    try:
+        negated = repr(to_nnf(Not(parsed)))
+    except NnfError as exc:
+        negated = str(exc)
+    system = compile_formula(to_nnf(parsed))
+    index = system.index
+    return "\n".join(
+        [
+            repr(parsed),
+            str(format_formula(parsed) == text),
+            repr(to_nnf(parsed)),
+            negated,
+            repr(index.formulas),
+            repr([index.text(fid) for fid in range(len(index))]),
+            repr(system.nodes),
+            repr(system.init_sets),
+            dump_rules_json(system),
+        ]
+    )
+
+
+# sha256 of the compile records below; a change to it means parsing, printing,
+# NNF, the subformula index, the node table, the initial sets or the listing changed
+COMPILE_DIGEST = "3b91fb8b95db6a42226464630a3e3615a174893c85e95c36fd3c29a5e1ebdb21"
+
+
+def test_compile_artefacts_match_pinned_digest():
+    """A refactor of parsing or compile leaves its artefacts byte-identical,
+    over every 10th depth-2 formula, 1,000 seeded depth-3 and depth-4
+    formulae and the wide specification at n = 1, 5 and 20."""
+    rng = random.Random(20261020)
+    formulas = enumerate_formulas(2, ["a", "b"])[::10]
+    formulas += [random_formula(3 + k % 2, ["a", "b", "c"], rng) for k in range(1000)]
+    texts = [format_formula(f) for f in formulas] + [wide_spec(n) for n in (1, 5, 20)]
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(compile_record(text).encode())
+    assert digest.hexdigest() == COMPILE_DIGEST
