@@ -145,18 +145,29 @@ def run_differential(
     traces: list[Trace],
 ) -> tuple[int, list[tuple[Formula, Trace, Verdict, bool]]]:
     """Compare the engine verdict against the reference semantics on every
-    (formula, trace) pair; returns (comparisons, mismatches)."""
+    (formula, trace) pair; returns (comparisons, mismatches).
+
+    Traces with equal cells get equal answers from both sides, so each
+    distinct trace is run and evaluated once per formula.  Every pair is
+    still counted and compared, and a mismatch is listed once per pair, in
+    formula order and then trace order."""
+    distinct: dict[tuple[frozenset[str], ...], Trace] = {}
+    for u in traces:
+        distinct.setdefault(u.cells, u)
     mismatches = []
-    comparisons = 0
     for f in formulas:
-        cache = CachedMonitor(compile_formula(f))
-        for u in traces:
-            comparisons += 1
-            got = cache.run(u.cells)[0]
+        run = CachedMonitor(compile_formula(f)).run
+        wrong = {}
+        for cells, u in distinct.items():
+            got = run(cells)[0]
             want = oracle_eval(f, u, 0)
             if (got is Verdict.SUCCESS) != want:
-                mismatches.append((f, u, got, want))
-    return comparisons, mismatches
+                wrong[cells] = got, want
+        if wrong:
+            for u in traces:
+                if u.cells in wrong:
+                    mismatches.append((f, u, *wrong[u.cells]))
+    return len(formulas) * len(traces), mismatches
 
 
 # Most formulae `diff` enumerates; past it, `diff` samples `--limit` of them.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .engine import Monitor, Verdict, _eval_tokens, _rule_tokens
-from .ltl import Formula, Next, WeakNext, format_formula
+from .ltl import Formula, Next, WeakNext, _compose
 from .oracle import BOTTOM, TOP, JAnd, JLeaf, JOr, Judgement, eval_judgement
 from .rules import RuleSystem, compile_formula
 from .traces import Trace, format_trace_inline
@@ -49,6 +49,12 @@ def map_state(system: RuleSystem, state: CheckState) -> Judgement:
     n = state.index
     graph = {(fid, epoch): (mode, ops) for fid, epoch, mode, ops in state.graph}
     values = {(fid, epoch): value for fid, epoch, value in state.evaluations}
+    index = system.index
+
+    def unfolding(op: type, fid: int) -> JLeaf:
+        """The leaf `op f` at this cell for subformula `fid`, its text composed from f's."""
+        g = op(index.formulas[fid])
+        return JLeaf(g, n, _compose(g, [index.text(fid)]))
 
     def mapx(x) -> Judgement:
         value = x if isinstance(x, TruthValue) else values.get(x)
@@ -57,17 +63,17 @@ def map_state(system: RuleSystem, state: CheckState) -> Judgement:
         fid = x[0]
         mode, ops = graph[x]
         kind = system.nodes[fid].kind
-        formula = system.index.formulas[fid]
+        formula = index.formulas[fid]
         if kind in ("next", "weaknext"):
             # mirroring is a property of the activation, not of the ?M value
-            return mapx(ops[0]) if mode is EvalMode.M else JLeaf(formula, n)
+            return mapx(ops[0]) if mode is EvalMode.M else JLeaf(formula, n, index.text(fid))
         if kind in ("true", "atom", "negatom"):
-            return JLeaf(formula, n)
+            return JLeaf(formula, n, index.text(fid))
         subs = [mapx(op) for op in ops]
         if kind == "eventually":
-            return reduce(JOr, subs + [JLeaf(Next(formula), n)])
+            return reduce(JOr, subs + [unfolding(Next, fid)])
         if kind == "always":
-            return reduce(JAnd, subs + [JLeaf(WeakNext(formula), n)])
+            return reduce(JAnd, subs + [unfolding(WeakNext, fid)])
         if value is not None:
             mode = value.mode
         if kind != "until":
@@ -83,7 +89,7 @@ def map_state(system: RuleSystem, state: CheckState) -> Judgement:
         if value is not None and mode is EvalMode.B:  # operand two failed this cell
             terms.pop()
         if mode is not EvalMode.L and mode is not EvalMode.R:  # else no later cell can witness it
-            terms.append(reduce(JAnd, subs[0::2] + [JLeaf(Next(formula), n)]))
+            terms.append(reduce(JAnd, subs[0::2] + [unfolding(Next, fid)]))
         return reduce(JOr, terms)
 
     return mapx(next((fid, epoch) for fid, epoch, _, _ in state.graph if fid == system.root))
@@ -155,7 +161,7 @@ def check_run(f: Formula, u: Trace) -> CheckReport:
         if value != expected and violation_at is None:
             violation_at = number
     return CheckReport(
-        formula=format_formula(f),
+        formula=system.index.text(system.root),
         trace=format_trace_inline(u),
         verdict=monitor.verdict,
         steps=steps,

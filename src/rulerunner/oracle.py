@@ -8,12 +8,17 @@ Strong next is false and weak next true when no next cell exists;
 eventually and always read the highest cell where their operand holds or
 fails (not via until), and until is the least fixpoint of its one-step
 unfolding.
+
+Each formula is built once into a tree of closures, one per node, and
+`oracle_eval` keeps the last one it built: consecutive calls on the same
+formula object reuse its closures and walk no formula.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from .ltl import (
     Always,
@@ -36,39 +41,61 @@ from .traces import Trace
 
 def oracle_eval(f: Formula, u: Trace, i: int) -> bool:
     """FLTL value of f at position i of u.  Not nodes are evaluated as the
-    boolean complement of their operand."""
-    n = len(u)
+    boolean complement of their operand.  The last formula evaluated keeps
+    its closures, so a run of calls on one formula object builds them once."""
+    global _last
+    n = len(u.cells)
     if not 0 <= i < n:
         raise IndexError(f"position {i} outside trace of length {n}")
-    return bool(_bits(f, u.positions, (1 << n) - 1) >> i & 1)
+    last, bits = _last
+    if last is not f:  # identity, not equality: no formula is hashed or compared
+        bits = _build(f)
+        _last = (f, bits)
+    return bool(bits(u.positions, (1 << n) - 1) >> i & 1)
 
 
-def _bits(g: Formula, pos: dict[str, int], full: int) -> int:
-    """The cells of the trace where g holds, as a bit set; `pos` maps each
-    observed name to its cells and `full` has one bit per cell."""
+# the formula last given to `oracle_eval` and its evaluator, as one tuple so
+# that no reader, in any thread, pairs one formula with another's evaluator
+_last: tuple[Formula | None, Callable[[dict[str, int], int], int] | None] = (None, None)
+
+
+def _build(g: Formula) -> Callable[[dict[str, int], int], int]:
+    """One closure per node of g: given `pos`, which maps each observed name
+    to its cells, and `full`, which has one bit per cell, it returns the
+    cells of the trace where its node holds, as a bit set."""
     kind = type(g)
     if kind is Atom:
-        return pos.get(g.name, 0)
+        name = g.name
+        return lambda pos, full: pos.get(name, 0)
     if kind is NegAtom:
-        return full ^ pos.get(g.name, 0)
+        name = g.name
+        return lambda pos, full: full ^ pos.get(name, 0)
     if kind is TrueConst:
-        return full
+        return lambda pos, full: full
     if kind is Or:
-        return _bits(g.left, pos, full) | _bits(g.right, pos, full)
+        left, right = _build(g.left), _build(g.right)
+        return lambda pos, full: left(pos, full) | right(pos, full)
     if kind is And:
-        return _bits(g.left, pos, full) & _bits(g.right, pos, full)
+        left, right = _build(g.left), _build(g.right)
+        return lambda pos, full: left(pos, full) & right(pos, full)
     if kind is Next:
-        return _bits(g.sub, pos, full) >> 1
+        sub = _build(g.sub)
+        return lambda pos, full: sub(pos, full) >> 1
     if kind is WeakNext:
-        return _bits(g.sub, pos, full) >> 1 | (full + 1) >> 1  # the last cell's bit
+        sub = _build(g.sub)
+        return lambda pos, full: sub(pos, full) >> 1 | (full + 1) >> 1  # the last cell's bit
     if kind is Eventually:
-        return (1 << _bits(g.sub, pos, full).bit_length()) - 1
+        sub = _build(g.sub)
+        return lambda pos, full: (1 << sub(pos, full).bit_length()) - 1
     if kind is Always:
-        return full ^ ((1 << (full ^ _bits(g.sub, pos, full)).bit_length()) - 1)
+        sub = _build(g.sub)
+        return lambda pos, full: full ^ ((1 << (full ^ sub(pos, full)).bit_length()) - 1)
     if kind is Until:
-        return _until(_bits(g.left, pos, full), _bits(g.right, pos, full))
+        left, right = _build(g.left), _build(g.right)
+        return lambda pos, full: _until(left(pos, full), right(pos, full))
     if kind is Not:
-        return full ^ _bits(g.sub, pos, full)
+        sub = _build(g.sub)
+        return lambda pos, full: full ^ sub(pos, full)
     raise TypeError(f"not a formula node: {g!r}")
 
 
@@ -110,9 +137,12 @@ class JBottom(Judgement):
 class JLeaf(Judgement):
     formula: Formula
     index: int
+    # the formula's text, when the caller already holds it; else formatted when printed
+    text: str | None = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
-        return f"[u,{self.index} ⊨ {format_formula(self.formula)}]"
+        text = format_formula(self.formula) if self.text is None else self.text
+        return f"[u,{self.index} ⊨ {text}]"
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from rulerunner import truth
-from rulerunner.cli import ENUMERATION_CAP, _formula_space_size, main
+from rulerunner import CachedMonitor, Trace, Verdict, cli, compile_formula, enumerate_formulas, truth
+from rulerunner.cli import ENUMERATION_CAP, _diff_traces, _formula_space_size, main, run_differential
 from rulerunner.traces import MEMO_CELLS, MEMO_LINE_CHARS
 from rulerunner.truth import FALSE, TRUE
 
@@ -400,6 +400,87 @@ class TestDiff:
         assert "[F a]?, [END] -> [F a]T" in capsys.readouterr().out
         code = main(["diff", "--max-depth", "1", "--atoms", "a", "--traces", "10", "--max-length", "3"])
         assert code == 3
+
+
+def pairwise_mismatches(formulas, traces):
+    """The mismatch list of the plain loop over every (formula, trace) pair."""
+    mismatches = []
+    for f in formulas:
+        cache = CachedMonitor(compile_formula(f))
+        for u in traces:
+            got = cache.run(u.cells)[0]
+            want = cli.oracle_eval(f, u, 0)
+            if (got is Verdict.SUCCESS) != want:
+                mismatches.append((f, u, got, want))
+    return mismatches
+
+
+class TestDifferentialContract:
+    """`run_differential` runs each distinct trace once per formula, yet
+    counts and compares every pair, as the bench self-test's negated oracle
+    relies on."""
+
+    @staticmethod
+    def repeated_traces():
+        traces = _diff_traces(("a", "b"), 30, 4, 5)
+        traces += [Trace(u.cells) for u in traces[:6]]  # equal cells, other objects
+        assert len({u.cells for u in traces}) < len(traces)
+        return traces
+
+    @pytest.mark.parametrize("lie", ["everywhere", "on two-cell traces"])
+    def test_every_pair_is_counted_and_listed_in_order(self, monkeypatch, lie):
+        original = cli.oracle_eval
+        if lie == "everywhere":
+            monkeypatch.setattr(cli, "oracle_eval", lambda f, u, i: not original(f, u, i))
+        else:
+            monkeypatch.setattr(cli, "oracle_eval", lambda f, u, i: original(f, u, i) ^ (len(u.cells) == 2))
+        formulas = enumerate_formulas(1, ["a", "b"])[::7]
+        traces = self.repeated_traces()
+        comparisons, mismatches = run_differential(formulas, traces)
+        assert comparisons == len(formulas) * len(traces)
+        expected = pairwise_mismatches(formulas, traces)
+        assert 0 < len(expected) <= comparisons
+        assert len(mismatches) == len(expected)
+        for got, want in zip(mismatches, expected):
+            assert got[0] is want[0] and got[1] is want[1]  # the given formula and trace objects
+            assert got[2:] == want[2:]
+
+    def test_each_distinct_trace_is_evaluated_once_per_formula(self, monkeypatch):
+        original = cli.oracle_eval
+        calls = []
+        monkeypatch.setattr(cli, "oracle_eval", lambda f, u, i: calls.append(u.cells) or original(f, u, i))
+        formulas = enumerate_formulas(1, ["a"])
+        traces = self.repeated_traces()
+        comparisons, mismatches = run_differential(formulas, traces)
+        distinct = {u.cells for u in traces}
+        assert (comparisons, mismatches) == (len(formulas) * len(traces), [])
+        assert len(calls) == len(formulas) * len(distinct)
+        assert set(calls) == distinct
+
+
+# `diff` output for one seed and --limit with the oracle negated, captured
+# when every pair was still run and evaluated on its own
+PINNED_NEGATED_DIFF = """\
+formulas: 3
+traces per formula: 12
+comparisons: 36
+mismatches: 36
+MISMATCH b & X a over [. - .]: engine FAILURE, oracle SUCCESS
+MISMATCH b & X a over [b]: engine FAILURE, oracle SUCCESS
+MISMATCH b & X a over [a,b - a,b - a,b]: engine SUCCESS, oracle FAILURE
+MISMATCH b & X a over [a,b - a,b - a,b]: engine SUCCESS, oracle FAILURE
+MISMATCH b & X a over [.]: engine FAILURE, oracle SUCCESS
+"""
+
+
+def test_diff_output_is_pinned(capsys, monkeypatch):
+    argv = ["diff", "--max-depth", "2", "--traces", "12", "--max-length", "3", "--seed", "7", "--limit", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "formulas: 3\ntraces per formula: 12\ncomparisons: 36\nmismatches: 0\n"
+    original = cli.oracle_eval
+    monkeypatch.setattr(cli, "oracle_eval", lambda f, u, i: not original(f, u, i))
+    assert main(argv) == 3
+    assert capsys.readouterr().out == PINNED_NEGATED_DIFF
 
 
 class TestUsageErrors:

@@ -248,3 +248,68 @@ def test_random_formulas_are_nnf():
     rng = random.Random(0)
     for _ in range(1000):
         assert is_nnf(random_formula(4, ["a", "b"], rng))
+
+
+class TestEvaluatorMemo:
+    """`oracle_eval` keeps the closures of the last formula object it saw,
+    keyed by identity: a memo that answered for the wrong formula would show
+    here as a value that differs from the textbook's."""
+
+    TRACES = [parse_trace_inline(t) for t in ("[a - b - a]", "[b - . - a,b]", "[a]", "[. - b]")]
+
+    def test_alternating_formulas_match_fresh_calls(self):
+        f, g = to_nnf(parse_formula("a U X b")), to_nnf(parse_formula("G (a | F b)"))
+        twin = to_nnf(parse_formula("a U X b"))  # equal to f, another object
+        assert twin == f and twin is not f
+        want = {id(h): [textbook(h, u) for u in self.TRACES] for h in (f, g, twin)}
+        for _ in range(3):
+            for h in (f, g, twin, f, twin, g, g):
+                assert [[oracle_eval(h, u, i) for i in range(len(u))] for u in self.TRACES] == want[id(h)]
+
+    def test_interleaved_calls_match_grouped_calls(self):
+        rng = random.Random(19)
+        formulas = [random_formula(3, ["a", "b"], rng) for _ in range(40)]
+        formulas += [to_nnf(parse_formula(text)) for text in ("a U b", "a U b", "X a", "X a")]
+        traces = rng.sample(SHORT_TRACES, 12)
+        grouped = {id(f): [oracle_eval(f, u, 0) for u in traces] for f in formulas}
+        for k, u in enumerate(traces):
+            for f in formulas:
+                assert oracle_eval(f, u, 0) == grouped[id(f)][k]
+
+    def test_fresh_objects_each_call(self):
+        u = parse_trace_inline("[a - b]")
+        for _ in range(50):
+            assert oracle_eval(Atom("a"), u, 0) is True
+            assert oracle_eval(NegAtom("a"), u, 0) is False
+            assert oracle_eval(Next(Atom("b")), u, 0) is True
+
+    def test_not_is_complement_after_its_operand(self):
+        u = parse_trace_inline("[a - b]")
+        f = parse_formula("a U b")
+        for _ in range(2):
+            assert oracle_eval(f, u, 0) is True
+            assert oracle_eval(Not(f), u, 0) is False
+            assert oracle_eval(Not(Not(f)), u, 1) is True
+
+    def test_index_error_before_and_after_a_cached_formula(self):
+        u = parse_trace_inline("[a - b]")
+        f = parse_formula("F b")
+        with pytest.raises(IndexError):
+            oracle_eval(f, u, 2)
+        assert oracle_eval(f, u, 0) is True
+        for i in (2, -1):
+            with pytest.raises(IndexError):
+                oracle_eval(f, u, i)
+        with pytest.raises(IndexError):  # the position is checked before the formula is read
+            oracle_eval(object(), u, 5)
+        assert oracle_eval(f, u, 1) is True
+
+    def test_non_formula_node_raises_type_error(self):
+        u = parse_trace_inline("[a]")
+        bad = Or(Atom("a"), "b")
+        for _ in range(2):  # a failed build is not kept
+            with pytest.raises(TypeError, match="not a formula node"):
+                oracle_eval(bad, u, 0)
+        assert oracle_eval(Atom("a"), u, 0) is True
+        with pytest.raises(TypeError):
+            oracle_eval(Next("a"), u, 0)
