@@ -1,10 +1,11 @@
 """Per-cell monitoring cycle over a compiled rule system.
 
-A `Monitor` steps from the system's own `nodes` and `init_sets` and
-`truth.TABLES`: it dispatches on each node's `NodeInfo.code`, spawns a
-subformula by activating the rule names of its initial set, and reads each
-value off the table of the node's operator and the instance's mode.  It
-reads no other copy of the formula and never the rule listing.
+A `Monitor` steps from the system's own `nodes` and `init_sets`,
+`truth.TABLES` and `truth.END`: it dispatches on each node's `NodeInfo.code`,
+spawns a subformula by activating the rule names of its initial set, and
+reads each value off its operator's table for the instance's mode (at the
+last cell, an undecided one off `truth.END`).  It reads no other copy of the
+formula and never the rule listing.
 
 Each activation is an instance of one subformula that holds the operand
 instances it reads, by reference, in one list: an and/or the operands its
@@ -110,7 +111,7 @@ _T = _settled(TRUE)
 _F = _settled(FALSE)
 
 
-def _decide_until(inst: _Instance, at_end: bool) -> TruthValue:
+def _decide_until(inst: _Instance) -> TruthValue:
     """The until's value this cell, from its operands' values this cell.
 
     Deletes the entries of `inst.ops` that can no longer change it: a
@@ -150,8 +151,6 @@ def _decide_until(inst: _Instance, at_end: bool) -> TruthValue:
         if left is not _T:
             chain_pending = True
     inst.ops = kept
-    if not live and at_end:
-        return FALSE
     if blocked_witness:
         return truth.UND_L
     if right is _F and left.value.kind == "?":  # the last entry read is the current cell's
@@ -314,7 +313,9 @@ class Monitor:
     def _fire(self, obs: frozenset[str], is_last: bool) -> None:
         """Give every live instance its value this cell, operands first; an
         instance that is not a leaf or an until reads it from its mode's
-        `truth.TABLES` table by `is` tests (an `EvalMode` hashes in Python)."""
+        `truth.TABLES` table by `is` tests (an `EvalMode` hashes in Python).
+        At the last cell an undecided value takes its operator's `truth.END`
+        value; operands are decided there, so an and/or never is undecided."""
         nodes = self._nodes
         for fid, insts in enumerate(self._live):
             if not insts:
@@ -343,11 +344,13 @@ class Monitor:
                     else:
                         value = tables[0][(ops[0].value.kind, ops[1].value.kind)]
                 elif code == K_NEXT or code == K_WEAKNEXT:  # modes PLAIN, M
-                    value = tables[0][(is_last,)] if mode is _PLAIN else tables[1][(ops[0].value.kind, is_last)]
+                    value = tables[0][()] if mode is _PLAIN else tables[1][(ops[0].value.kind,)]
                 elif code == K_UNTIL:
-                    value = _decide_until(inst, is_last)
+                    value = _decide_until(inst)
                 else:
-                    value = tables[0][(_aggregate(inst, code == K_EVENTUALLY), is_last)]
+                    value = tables[0][(_aggregate(inst, code == K_EVENTUALLY),)]
+                if is_last and value.kind == "?":  # the paper's end-of-trace rule
+                    value = truth.END[node.kind]
                 inst.value = value
 
     def _settle(self) -> tuple[tuple[int, int], ...]:

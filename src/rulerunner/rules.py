@@ -15,14 +15,15 @@ operands' subtrees share no subformula) followed by its own name.
 
 The evaluation and reactivation rules are a view built on the first read of
 `RuleSystem.eval_rules` or `react_rules` and cached, by walking the same
-`truth.TABLES` the engine indexes: each entry of an operator's table for a
-mode renders as one evaluation rule guarded by that mode (a unary
-operator's end-of-trace entries as one end-of-trace rule), and each mode as
-one reactivation rule binding its undecided value to the rule names active
-in the next cell; the root adds the two terminal rules.  The listing is not
-executed.  For until, the mode-A and mode-B rules render the operator's
-table over the current operand values, while the engine decides an until
-from the operand outcomes it keeps for every cell that can still witness it
+`truth.TABLES` and `truth.END` the engine indexes: each entry of an
+operator's table for a mode renders as one evaluation rule guarded by that
+mode, a temporal operator's `END` value as one end-of-trace rule after its
+initial mode's, and each mode as one reactivation rule binding its
+undecided value to the rule names active in the next cell; the root adds
+the two terminal rules.  Only `tests/test_rules.py` executes the listing.
+For until, the mode-A and mode-B rules render the operator's table over the
+current operand values, while the engine decides an until from the operand
+outcomes it keeps for every cell that can still witness it
 (`engine._decide_until`), which refines them.
 """
 
@@ -225,25 +226,22 @@ def _build_listing(sys: RuleSystem) -> tuple[tuple[EvaluationRule, ...], tuple[R
 
 
 def _walk_tables(sys: RuleSystem, fid: int, node: NodeInfo, eval_rules: list, react_rules: list) -> None:
-    """Append an operator's evaluation rules, one per entry of its
-    `truth.TABLES`, and its reactivation rules, one per table mode."""
+    """Append an operator's evaluation rules, one per `truth.TABLES` entry
+    and its `truth.END` rule, and its reactivation rules, one per mode."""
     modes = truth.TABLES[node.kind]
     initial = next(iter(modes))
-    unary = node.right is None
+    end = truth.END.get(node.kind)
     for mode, table in modes.items():
         guard = RuleName(fid, mode)
-        for key, out in table.items():
-            kinds = key[:-1] if unary else key
-            if unary and key[-1]:  # one end-of-trace rule, for the initial mode with an undecided operand
-                if mode is initial and "T" not in kinds and "F" not in kinds:
-                    eval_rules.append(EvaluationRule(None, (ValueCond(fid, "?"), EndCond()), fid, out))
-                continue
+        for kinds, out in table.items():
             conds = tuple(map(ValueCond, truth.reads(mode, len(kinds), node.left, node.right), kinds))
             if mode is EvalMode.A and kinds[1] == "T":  # the right operand holding decides an until outright,
                 if kinds[0] != "T":  # so its three cells render as one rule
                     continue
                 conds = conds[1:]
             eval_rules.append(EvaluationRule(guard, conds, fid, out))
+        if mode is initial and end is not None:
+            eval_rules.append(EvaluationRule(None, (ValueCond(fid, "?"), EndCond()), fid, end))
         # in modes L and R no later cell can witness an until, and in mode M a
         # next already holds its operand, so nothing is respawned
         respawn = node.code >= K_NEXT and mode not in (EvalMode.L, EvalMode.R, EvalMode.M)
@@ -257,9 +255,9 @@ def _walk_tables(sys: RuleSystem, fid: int, node: NodeInfo, eval_rules: list, re
 
 
 def rule_count_bound(f: Formula) -> int:
-    """Upper bound on evaluation-rule count: 16 per distinct subformula
-    (the until worst case) plus the two terminal rules."""
-    return 16 * len(SubformulaIndex(f)) + 2
+    """Upper bound on evaluation-rule count: 17 per distinct subformula (an
+    until's 16 table rules and its end rule) plus the two terminal rules."""
+    return 17 * len(SubformulaIndex(f)) + 2
 
 
 def dump_rules(sys: RuleSystem) -> str:

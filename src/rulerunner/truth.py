@@ -5,9 +5,11 @@ operand(s) can still decide the formula: ?L / ?R / ?B (left, right, both),
 ?A (until, all routes open), ?M (next/weak-next mirroring its operand).
 
 `TABLES` is the one statement of every operator: one table per legal
-activation mode, the initial mode first, entries in rule-listing order.  The
-engine indexes it and the rule listing walks it; the mode and operator
-names are derived from it, and `eval_binary`/`eval_unary` look entries up.
+activation mode, the initial mode first, entries in rule-listing order.
+`END` is the one statement of the end of the trace: the value each temporal
+operator takes when it is still undecided at the last cell.  The engine
+indexes both and the rule listing walks both; the mode and operator names
+are derived from `TABLES`, and `eval_binary`/`eval_unary` look entries up.
 """
 
 from __future__ import annotations
@@ -106,24 +108,18 @@ UNTIL_B = {("T",): UND_B, ("?",): UND_B, ("F",): FALSE}
 SIDE_L = {("T",): TRUE, ("?",): UND_L, ("F",): FALSE}
 SIDE_R = {("T",): TRUE, ("?",): UND_R, ("F",): FALSE}
 
-# The unary operators' keys end in the end-of-trace flag.  An eventually or
-# always reads the combined value of the operand instances it waits on; a
-# next or weak next reads nothing in its spawn cell and then mirrors its
-# operand (mode M).
-EVENTUALLY = {
-    ("T", False): TRUE, ("?", False): UND, ("F", False): UND,
-    ("T", True): TRUE, ("?", True): FALSE, ("F", True): FALSE,
-}
-ALWAYS = {
-    ("T", False): UND, ("?", False): UND, ("F", False): FALSE,
-    ("T", True): TRUE, ("?", True): TRUE, ("F", True): FALSE,
-}
-NEXT = {(False,): UND_M, (True,): FALSE}
-WEAKNEXT = {(False,): UND_M, (True,): TRUE}
-MIRROR = {
-    ("T", False): TRUE, ("?", False): UND_M, ("F", False): FALSE,
-    ("T", True): TRUE, ("?", True): UND_M, ("F", True): FALSE,
-}
+# An eventually or always reads the combined value of the operand instances
+# it waits on; a next or weak next reads nothing in its spawn cell and then
+# mirrors its operand (mode M).
+EVENTUALLY = {("T",): TRUE, ("?",): UND, ("F",): UND}
+ALWAYS = {("T",): UND, ("?",): UND, ("F",): FALSE}
+NEXT = {(): UND_M}
+MIRROR = {("T",): TRUE, ("?",): UND_M, ("F",): FALSE}
+
+# The value a temporal operator still undecided at the last cell takes: the
+# paper's end-of-trace rule [f]?, [END] -> [f]X.  Its operands are decided
+# there, so an and/or never is undecided at the last cell.
+END = {"eventually": FALSE, "always": TRUE, "next": FALSE, "weaknext": TRUE, "until": FALSE}
 
 _BINARY = {
     "or": {EvalMode.B: OR_B, EvalMode.L: SIDE_L, EvalMode.R: SIDE_R},
@@ -134,7 +130,7 @@ _UNARY = {
     "eventually": {EvalMode.PLAIN: EVENTUALLY},
     "always": {EvalMode.PLAIN: ALWAYS},
     "next": {EvalMode.PLAIN: NEXT, EvalMode.M: MIRROR},
-    "weaknext": {EvalMode.PLAIN: WEAKNEXT, EvalMode.M: MIRROR},
+    "weaknext": {EvalMode.PLAIN: NEXT, EvalMode.M: MIRROR},
 }
 TABLES = {**_BINARY, **_UNARY}
 
@@ -174,7 +170,8 @@ def eval_binary(op: str, mode: EvalMode, left: TruthValue | None, right: TruthVa
 
 
 def eval_unary(op: str, mode: EvalMode, sub: TruthValue, at_end: bool) -> TruthValue:
-    """Evaluation-table lookup for eventually/always/next/weaknext.
+    """Evaluation-table lookup for eventually/always/next/weaknext; at the
+    end of the trace an undecided value becomes the operator's `END` value.
 
     For eventually/always, `sub` is the aggregated operand value across the
     instances spawned so far (T if any witness, F if all refuted, ? otherwise).
@@ -182,5 +179,5 @@ def eval_unary(op: str, mode: EvalMode, sub: TruthValue, at_end: bool) -> TruthV
     is ignored; in M mode the operand value is mirrored.
     """
     table = _table(_UNARY, op, mode)
-    operands = reads(mode, len(next(iter(table))) - 1, sub, None)
-    return table[(*[x.kind for x in operands], bool(at_end))]
+    value = table[tuple(x.kind for x in reads(mode, len(next(iter(table))), sub, None))]
+    return END[op] if at_end and value.kind == "?" else value

@@ -390,16 +390,24 @@ class TestDiff:
         assert "MISMATCH" in out
 
     def test_corrupted_end_rule_is_caught(self, capsys, monkeypatch):
-        """Fault injection: poisoning the eventually table's end-of-trace
-        entries must surface as exit code 3, and the rule listing, which
-        reads the same table as the engine, shows the poisoned entry."""
-        table = truth.TABLES["eventually"][truth.EvalMode.PLAIN]
-        for operand in ("?", "F"):
-            monkeypatch.setitem(table, (operand, True), TRUE)  # wrong: an unsatisfied eventually must fail at the end
+        """Fault injection: poisoning the eventually's end-of-trace value
+        must surface as exit code 3, and the rule listing, which reads the
+        same table as the engine, shows the poisoned entry."""
+        monkeypatch.setitem(truth.END, "eventually", TRUE)  # wrong: an unsatisfied eventually must fail at the end
         assert main(["compile", "F a"]) == 0
         assert "[F a]?, [END] -> [F a]T" in capsys.readouterr().out
         code = main(["diff", "--max-depth", "1", "--atoms", "a", "--traces", "10", "--max-length", "3"])
         assert code == 3
+
+    def test_corrupted_until_end_rule_is_caught(self, capsys, monkeypatch):
+        """Fault injection: an until that wrongly holds at the end of the
+        trace shows in its listing and surfaces as exit code 3."""
+        monkeypatch.setitem(truth.END, "until", TRUE)
+        assert main(["compile", "a U b"]) == 0
+        assert "[a U b]?, [END] -> [a U b]T" in capsys.readouterr().out
+        code = main(["diff", "--max-depth", "1", "--atoms", "a", "--traces", "10", "--max-length", "3"])
+        assert code == 3
+        assert "MISMATCH" in capsys.readouterr().out
 
 
 def pairwise_mismatches(formulas, traces):

@@ -195,9 +195,7 @@ class TestRandomRuns:
     def test_wrong_end_rule_is_a_violation(self, monkeypatch):
         """Fault injection: an eventually that wrongly holds at the end of
         the trace gives a SUCCESS that the mapped judgements contradict."""
-        table = truth.TABLES["eventually"][truth.EvalMode.PLAIN]
-        for operand in ("?", "F"):
-            monkeypatch.setitem(table, (operand, True), TRUE)
+        monkeypatch.setitem(truth.END, "eventually", TRUE)
         report = check("F a", "[b - b]")
         assert report.verdict is Verdict.SUCCESS
         assert not report.passed

@@ -9,6 +9,7 @@ from rulerunner import (
     Always,
     And,
     Atom,
+    CachedMonitor,
     EvalMode,
     Eventually,
     NegAtom,
@@ -18,6 +19,7 @@ from rulerunner import (
     Or,
     TrueConst,
     Until,
+    Verdict,
     WeakNext,
     compile_formula,
     dump_rules,
@@ -32,8 +34,9 @@ from rulerunner import (
     run_trace,
     to_nnf,
 )
-from rulerunner.rules import EvaluationRule, ObsCond, RuleName, ValueCond
+from rulerunner.rules import K_NEXT, EvaluationRule, ObsCond, RuleName, ValueCond
 from rulerunner.truth import FALSE, TRUE
+from test_acceptance import sweep_traces
 
 
 def compile_text(text: str):
@@ -225,6 +228,10 @@ class TestBaseCases:
         assert "R[a U b]A, [a]F, [b]? -> [a U b]?R" in rules
         assert "R[a U b]A, [a]F, [b]F -> [a U b]F" in rules
         assert "R[a U b]B, [a]F -> [a U b]F" in rules
+        end = rules.index("[a U b]?, [END] -> [a U b]F")  # after the mode-A rules, before mode B's
+        assert rules[end - 1] == "R[a U b]A, [a]F, [b]F -> [a U b]F"
+        assert rules[end + 1].startswith("R[a U b]B")
+        assert len(rules) == 4 + 17 + 2
         assert [r.render(system.index) for r in system.react_rules] == [
             "[a U b]?A -> R[a], R[b], R[a U b]A",
             "[a U b]?B -> R[a], R[b], R[a U b]B",
@@ -240,13 +247,16 @@ class TestBaseCases:
 
 class TestCountsAndBound:
     def test_bound_values(self):
-        assert rule_count_bound(to_nnf(parse_formula("a | F b"))) == 66
-        assert rule_count_bound(parse_formula("a")) == 18
+        assert rule_count_bound(to_nnf(parse_formula("a | F b"))) == 70
+        assert rule_count_bound(parse_formula("a")) == 19
 
     def test_actual_counts_within_bound(self):
         rng = random.Random(9)
-        for _ in range(100):
-            f = random_formula(3, ["a", "b"], rng)
+        formulas = [random_formula(3, ["a", "b"], rng) for _ in range(100)]
+        chain = Atom("a")
+        for _ in range(20):  # (((a U a) U a) ...) U a: every subformula but one an until
+            chain = Until(chain, Atom("a"))
+        for f in formulas + [chain]:
             system = compile_formula(f)
             assert len(system.eval_rules) <= rule_count_bound(f)
 
@@ -420,6 +430,96 @@ class TestMachineDump:
         ]
 
 
+def run_listing(system, cells) -> tuple[Verdict, int]:
+    """The verdict and deciding cell of the rule listing read as written.
+
+    The state is a set of active rule names.  In each cell the evaluation
+    rules fire in listing order, a guarded one only while its guard is
+    active, and a later rule may overwrite a value; a ``?`` condition or
+    trigger matches any annotation.  The reactivation rules whose trigger
+    matches an undecided value make the next cell's state."""
+    state = set(system.initial)
+    last = len(cells) - 1
+    for i, cell in enumerate(cells):
+        values = {}
+        for rule in system.eval_rules:
+            if rule.guard is not None and rule.guard not in state:
+                continue
+            if all(_holds(cond, values, cell, i == last) for cond in rule.conditions):
+                if rule.terminal:
+                    return Verdict(rule.terminal), i
+                values[rule.output_fid] = rule.output_value
+        state = {
+            name
+            for react in system.react_rules
+            if _triggers(react.trigger_value, values.get(react.trigger_fid))
+            for name in react.consequents
+        }
+    return Verdict.UNDECIDED, last
+
+
+def _holds(cond, values, cell, at_end: bool) -> bool:
+    if isinstance(cond, ValueCond):
+        value = values.get(cond.fid)
+        return value is not None and value.kind == cond.klass
+    if isinstance(cond, ObsCond):
+        return (cond.atom in cell) == cond.present
+    return at_end
+
+
+def _triggers(trigger, value) -> bool:
+    return (
+        value is not None
+        and value.kind == "?"
+        and (trigger.mode is EvalMode.PLAIN or trigger.mode is value.mode)
+    )
+
+
+def is_flat(system) -> bool:
+    """Whether every temporal operator of a compiled formula has only
+    propositional operands."""
+    temporal = []  # by fid: whether the subformula holds a temporal operator
+    flat = True
+    for node in system.nodes:
+        operands = [temporal[x] for x in (node.left, node.right) if x is not None]
+        is_temporal = node.code >= K_NEXT
+        flat = flat and not (is_temporal and any(operands))
+        temporal.append(is_temporal or any(operands))
+    return flat
+
+
+class TestListingAsWritten:
+    def test_flat_formulae_match_the_engine(self):
+        """On flat formulae the listing, run as written, gives the engine's
+        verdict and deciding cell: every 30th flat depth-2 formula over the
+        distinct criterion-4 traces."""
+        traces = list(dict.fromkeys(u.cells for u in sweep_traces()))
+        systems = [system for system in map(compile_formula, enumerate_formulas(2, ["a", "b"])) if is_flat(system)]
+        pairs = 0
+        for system in systems[::30]:
+            cache = CachedMonitor(system)
+            for cells in traces:
+                assert run_listing(system, cells) == cache.run(cells), (repr(system), cells)
+                pairs += 1
+        assert pairs > 50_000
+
+    def test_until_decided_at_end(self):
+        system = compile_text("a U b")
+        cells = parse_trace_inline("[a]").cells
+        assert run_listing(system, cells) == (Verdict.FAILURE, 0) == CachedMonitor(system).run(cells)
+
+    def test_flat_reading_stops_being_exact_under_nesting(self):
+        """`G X true` is not flat: at the second cell the next spawned at the
+        first and the one spawned there are both active, and the listing
+        keeps one value for both, so the earlier one's true overwrites the
+        later one's end-of-trace false.  The engine keeps them apart."""
+        system = compile_text("G X true")
+        cells = parse_trace_inline("[. - .]").cells
+        assert not is_flat(system)
+        assert run_listing(system, cells) == (Verdict.SUCCESS, 1)
+        assert CachedMonitor(system).run(cells) == (Verdict.FAILURE, 1)
+
+
 def wide_spec(n: int) -> str:
     """A conjunction of n response properties."""
     return " & ".join(f"G (!p{i} | F q{i})" for i in range(n))
@@ -451,7 +551,7 @@ def compile_record(text: str) -> str:
 
 # sha256 of the compile records below; a change to it means parsing, printing,
 # NNF, the subformula index, the node table, the initial sets or the listing changed
-COMPILE_DIGEST = "3b91fb8b95db6a42226464630a3e3615a174893c85e95c36fd3c29a5e1ebdb21"
+COMPILE_DIGEST = "3202bae35009a2695856c8d88e40b736eb50b6dbd00b0a94c6f724c4fd9db141"
 
 
 def test_compile_artefacts_match_pinned_digest():
