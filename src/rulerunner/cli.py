@@ -155,13 +155,14 @@ def run_differential(
     for u in traces:
         distinct.setdefault(u.cells, u)
     mismatches = []
+    success = Verdict.SUCCESS
     for f in formulas:
         run = CachedMonitor(compile_formula(f)).run
         wrong = {}
         for cells, u in distinct.items():
             got = run(cells)[0]
             want = oracle_eval(f, u, 0)
-            if (got is Verdict.SUCCESS) != want:
+            if (got is success) != want:
                 wrong[cells] = got, want
         if wrong:
             for u in traces:

@@ -40,12 +40,16 @@ the flat rule-set behaviour is recovered exactly.
 `explain`, `to_dict` and `mapcheck`): the state before and after it and the
 fired instances' values, from which `evaluations` pairs each value with its
 instance; `Monitor.advance` runs the same passes and records nothing.
-`Monitor.clone` copies the live state between cells.  Since the
-live state is bounded and folded, a formula's monitor has few distinct
-states: `CachedMonitor` builds the finite automaton over them lazily, one
-transition per (state, letter) from a clone of the state's representative
-monitor, and steps by table lookup after that.  It keeps at most `NODE_CAP`
-states; one found past the cap is handed out without being kept.
+`Monitor.clone` copies the live state between cells, and `Monitor.peek`
+returns the verdict `advance` would, firing without pruning and settling
+nothing, so the state stays as it was.  Since the live state is bounded
+and folded, a formula's monitor has few distinct states: `CachedMonitor`
+builds the finite automaton over them lazily, one transition per (state,
+letter), and steps by table lookup after that.  A transition that decides
+is read off the state's representative monitor by a peek; only one to an
+undecided state clones the representative and advances the clone.  It
+keeps at most `NODE_CAP` states; one found past the cap is handed out
+without being kept.
 """
 
 from __future__ import annotations
@@ -111,13 +115,13 @@ _T = _settled(TRUE)
 _F = _settled(FALSE)
 
 
-def _decide_until(inst: _Instance) -> TruthValue:
+def _decide_until(inst: _Instance, prune: bool) -> TruthValue:
     """The until's value this cell, from its operands' values this cell.
 
-    Deletes the entries of `inst.ops` that can no longer change it: a
-    settled cell (operand one true, operand two false), a repeat of an
-    earlier entry (which can witness only where the earlier one already
-    does), and every cell after the first whose operand one failed."""
+    With `prune`, deletes the entries of `inst.ops` that can no longer
+    change it: a settled cell (operand one true, operand two false), a
+    repeat of an earlier entry (which can witness only where the earlier one
+    already does), and every cell after the first whose operand one failed."""
     pairs = iter(inst.ops)
     kept: list[_Instance] = []
     seen: set[tuple[_Instance, _Instance]] = set()
@@ -146,11 +150,13 @@ def _decide_until(inst: _Instance) -> TruthValue:
         elif right is not _F:
             live = True
         if left is _F:  # the chain broke, so no later cell can witness it
-            inst.ops = kept
+            if prune:
+                inst.ops = kept
             return (truth.UND_L if blocked_witness else truth.UND_R) if live else FALSE
         if left is not _T:
             chain_pending = True
-    inst.ops = kept
+    if prune:
+        inst.ops = kept
     if blocked_witness:
         return truth.UND_L
     if right is _F and left.value.kind == "?":  # the last entry read is the current cell's
@@ -294,6 +300,19 @@ class Monitor:
         self._state = None
         return self.verdict
 
+    def peek(self, observations, is_last: bool = False) -> Verdict:
+        """The verdict `advance` would return on this cell, leaving the
+        monitor's state as it was: modes, operands, cell, verdict.  It
+        writes each instance's value, which the next cell recomputes before
+        reading."""
+        if self.verdict is not _UNDECIDED:
+            raise MonitorError("monitor already produced a verdict; the trace beyond it is ignored")
+        self._fire(frozenset(observations), is_last, False)
+        kind = self._root.value.kind
+        if kind == "?":
+            return _UNDECIDED
+        return Verdict.SUCCESS if kind == "T" else Verdict.FAILURE
+
     def step(self, observations, is_last: bool = False) -> StepOutcome:
         """Process one trace cell.  `is_last` puts the end-of-trace marker
         in effect, forcing the temporal operators to their final values."""
@@ -310,12 +329,15 @@ class Monitor:
             self.system, cell, self.verdict, state_before, tuple(sorted(obs)) if obs else (), values, state_after, folded
         )
 
-    def _fire(self, obs: frozenset[str], is_last: bool) -> None:
+    def _fire(self, obs: frozenset[str], is_last: bool, prune: bool = True) -> None:
         """Give every live instance its value this cell, operands first; an
         instance that is not a leaf or an until reads it from its mode's
         `truth.TABLES` table by `is` tests (an `EvalMode` hashes in Python).
         At the last cell an undecided value takes its operator's `truth.END`
-        value; operands are decided there, so an and/or never is undecided."""
+        value; operands are decided there, so an and/or never is undecided.
+        Without `prune`, an until, eventually or always keeps the operands
+        it no longer needs, so values are all a fire writes; they are the
+        same either way."""
         nodes = self._nodes
         for fid, insts in enumerate(self._live):
             if not insts:
@@ -346,9 +368,9 @@ class Monitor:
                 elif code == K_NEXT or code == K_WEAKNEXT:  # modes PLAIN, M
                     value = tables[0][()] if mode is _PLAIN else tables[1][(ops[0].value.kind,)]
                 elif code == K_UNTIL:
-                    value = _decide_until(inst)
+                    value = _decide_until(inst, prune)
                 else:
-                    value = tables[0][(_aggregate(inst, code == K_EVENTUALLY),)]
+                    value = tables[0][(_aggregate(inst, code == K_EVENTUALLY, prune),)]
                 if is_last and value.kind == "?":  # the paper's end-of-trace rule
                     value = truth.END[node.kind]
                 inst.value = value
@@ -439,10 +461,11 @@ class Monitor:
         return () if forward is None else tuple(gone)
 
 
-def _aggregate(inst: _Instance, want: bool) -> str:
+def _aggregate(inst: _Instance, want: bool, prune: bool) -> str:
     """Kind of the combined operand view of an eventually (`want` True) or
     always across the operand instances it waits on: one decided witness
-    decides, otherwise undecided while anything is pending."""
+    decides, otherwise undecided while anything is pending.  With `prune`,
+    `inst.ops` keeps only the pending ones."""
     pending: list[_Instance] = []
     for sub in inst.ops:
         kind = sub.value.kind
@@ -451,7 +474,8 @@ def _aggregate(inst: _Instance, want: bool) -> str:
                 pending.append(sub)
         elif (kind == "T") is want:
             return "T" if want else "F"
-    inst.ops = pending
+    if prune:
+        inst.ops = pending
     if pending:
         return "?"
     return "F" if want else "T"
@@ -499,8 +523,9 @@ def _state_key(monitor: Monitor) -> tuple:
 
 class _Node:
     """One state of the cached automaton: a representative monitor in it,
-    which is only ever cloned, and the transitions found so far.  A kept
-    node's `next` holds only kept nodes and verdicts."""
+    which is only ever peeked at and cloned, never advanced, and the
+    transitions found so far.  A kept node's `next` holds only kept nodes
+    and verdicts."""
 
     __slots__ = ("monitor", "next", "end")
 
@@ -516,14 +541,17 @@ class CachedMonitor:
 
     A state is a canonical monitor state (see `_state_key`); a letter is a
     cell intersected with the formula's atoms.  A transition not yet known
-    is found by cloning the state's representative monitor and advancing the
-    clone one cell, so every verdict comes from the rule monitor itself.
-    Past `NODE_CAP` states, a new state is handed out without being kept,
-    and a kept state records a transition only to a kept state or a verdict,
-    so memory stays bounded; a walk through unkept states goes back onto the
-    kept ones as soon as it reaches one of them.  States are immutable:
-    `next` and `end` never change the state they are given, so a caller may
-    keep an earlier one."""
+    is found by peeking at the state's representative monitor, and only when
+    that leaves it undecided by cloning it and advancing the clone one cell,
+    so every verdict comes from the rule monitor itself and a transition
+    that decides costs no clone.  Past `NODE_CAP` states, a new state is
+    handed out without being kept, and a kept state records a transition
+    only to a kept state or a verdict, so memory stays bounded; a walk
+    through unkept states goes back onto the kept ones as soon as it
+    reaches one of them.  States are immutable: `next` and `end` never
+    change the state they are given, so a caller may keep an earlier one.
+    A peek writes scratch values into the
+    representative, so a `CachedMonitor` serves one thread at a time."""
 
     def __init__(self, system: RuleSystem):
         self._atoms = frozenset(node.atom for node in system.nodes if node.atom is not None)
@@ -546,7 +574,7 @@ class CachedMonitor:
         letter = self._atoms.intersection(cell)
         verdict = state.end.get(letter)
         if verdict is None:
-            verdict = state.end[letter] = state.monitor.clone().advance(letter, is_last=True)
+            verdict = state.end[letter] = state.monitor.peek(letter, is_last=True)
         return verdict
 
     def run(self, cells) -> tuple[Verdict, int]:
@@ -561,14 +589,19 @@ class CachedMonitor:
             state = state.next.get(letter) or self._miss(state, letter)
             if state.__class__ is Verdict:
                 return state, i
-        return self.end(state, cells[last]), last
+        letter = atoms.intersection(cells[last])  # `end`, inlined
+        verdict = state.end.get(letter)
+        if verdict is None:
+            verdict = state.end[letter] = state.monitor.peek(letter, is_last=True)
+        return verdict, last
 
     def _miss(self, node: _Node, letter: frozenset[str]) -> _Node | Verdict:
-        monitor = node.monitor.clone()
-        verdict = monitor.advance(letter)
-        if verdict is not Verdict.UNDECIDED:
+        verdict = node.monitor.peek(letter)
+        if verdict is not _UNDECIDED:
             node.next[letter] = verdict
             return verdict
+        monitor = node.monitor.clone()
+        monitor.advance(letter)
         key = _state_key(monitor)
         target = self._nodes.get(key)
         if target is None:

@@ -526,6 +526,54 @@ class TestClone:
                     break
 
 
+def letters_of(system) -> list[frozenset[str]]:
+    """Every letter over the formula's atoms, and one off-alphabet cell."""
+    atoms = sorted({node.atom for node in system.nodes if node.atom is not None})
+    letters = [frozenset(c) for r in range(len(atoms) + 1) for c in itertools.combinations(atoms, r)]
+    return letters + [frozenset({"z"})]
+
+
+class TestPeek:
+    def test_peek_answers_as_an_advanced_clone_and_leaves_the_state(self):
+        """On every state of seeded runs, `peek` returns what
+        `clone().advance` returns for every letter, before the last cell and
+        at it, and leaves the instance graph, its size and its cache key as
+        they were; the peeked monitor then steps as an unpeeked one does."""
+        rng = random.Random(2021)
+        peeks = decided = 0
+        for k in range(1000):
+            f, cells = random_run(rng, 2 + k % 3, rng.randint(1, 10), "abc")
+            system = compile_formula(f)
+            letters = letters_of(system)
+            monitor = Monitor(system)
+            outcomes = []
+            last = len(cells) - 1
+            for i, cell in enumerate(cells):
+                view, count, key = monitor.instances(), monitor.live_count(), engine._state_key(monitor)
+                for letter in letters:
+                    for is_last in (False, True):
+                        want = monitor.clone().advance(letter, is_last)
+                        assert monitor.peek(letter, is_last) is want, (f, cells[:i], letter, is_last)
+                        peeks += 1
+                        decided += want is not Verdict.UNDECIDED
+                assert monitor.instances() == view
+                assert monitor.live_count() == count
+                assert engine._state_key(monitor) == key
+                outcomes.append(monitor.step(cell, is_last=(i == last)))
+                if monitor.finished:
+                    break
+            assert explain(outcomes) == explain(run_trace(system, Trace(cells)))
+        assert peeks > 15_000 and 0.2 < decided / peeks < 0.9
+
+    def test_peek_on_a_finished_monitor_raises(self):
+        monitor = Monitor(system_for("a"))
+        assert monitor.advance({"a"}) is Verdict.SUCCESS
+        with pytest.raises(MonitorError):
+            monitor.peek({"a"})
+        with pytest.raises(MonitorError):
+            monitor.peek(set(), is_last=True)
+
+
 class TestCachedMonitor:
     @pytest.mark.parametrize("cap", [1, 3])
     def test_small_cap_hands_out_more_states_than_it_keeps(self, monkeypatch, cap):
@@ -575,6 +623,31 @@ class TestCachedMonitor:
         assert cache.next(after, {"a", "b"}) is state
         assert state.monitor.instances() == view
         assert len(cache) == 2
+
+    def test_clones_only_for_a_transition_to_a_state(self, monkeypatch):
+        """A cold cache clones once per transition to a state, the
+        non-verdict entries of its kept states' `next`, and `end` over every
+        kept state and letter clones nothing and answers as an advanced
+        clone does."""
+        clones = []
+        clone = Monitor.clone
+        monkeypatch.setattr(Monitor, "clone", lambda self: clones.append(self) or clone(self))
+        rng = random.Random(1121)
+        for k in range(150):
+            f = random_formula(2 + k % 3, ["a", "b"], rng)
+            system = compile_formula(f)
+            cache = CachedMonitor(system)
+            for _ in range(6):
+                _, cells = random_run(rng, 0, rng.randint(1, 12), "abc")
+                cache.run(cells)
+            assert len(cache) < engine.NODE_CAP
+            kept = cache._nodes.values()
+            assert len(clones) == sum(not isinstance(t, Verdict) for node in kept for t in node.next.values()), f
+            del clones[:]
+            ends = {(node, letter): cache.end(node, letter) for node in kept for letter in letters_of(system)}
+            assert clones == []
+            for (node, letter), verdict in ends.items():
+                assert verdict is clone(node.monitor).advance(letter, is_last=True)
 
     def test_rule_system_holds_no_cache(self):
         system = system_for("G F X a")
