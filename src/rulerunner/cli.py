@@ -87,30 +87,39 @@ def cmd_stream(args) -> int:
 
     The monitor walks a `CachedMonitor` and keeps the state before the
     latest cell, so the end verdict is that state's transition on the
-    latest cell with the end-of-trace marker: one step, no replay."""
+    latest cell with the end-of-trace marker: one step, no replay.
+
+    Each line text is read into its letter, the cell intersected with the
+    formula's atoms, and `cell_parser` keeps it in `letters` within the
+    memo's bounds; a line met before whose transition is known costs a
+    lookup there and one in the state's `next` table, with no call."""
     cache = CachedMonitor(compile_formula(_parse_nnf(args.formula)))
     state = before = cache.initial
-    cell: frozenset[str] = frozenset()
-    parse = cell_parser()
-    step, write, flush = cache.next, sys.stdout.write, sys.stdout.flush
+    last: frozenset[str] = frozenset()
+    letters: dict[str, frozenset[str]] = {}
+    parse = cell_parser(cache.atoms, letters)
+    write, flush = sys.stdout.write, sys.stdout.flush
     if hasattr(sys.stdin, "reconfigure"):  # a line that is not UTF-8 is a malformed cell, not a crash
         sys.stdin.reconfigure(errors="surrogateescape")
     for lineno, line in enumerate(sys.stdin, start=1):
-        try:
-            cell = parse(line)
-        except TraceError as exc:  # `$end` and a comment fail the cell syntax too
-            if line.strip() == "$end":
-                break
-            if not line.lstrip().startswith("#"):  # a comment, as in trace files; never a cell
-                print(f"skipped malformed cell: line {lineno}: {exc}", file=sys.stderr)
-            continue
-        before, state = state, step(state, cell)
+        letter = letters.get(line)
+        if letter is None:
+            try:
+                letter = parse(line)
+            except TraceError as exc:  # `$end` and a comment fail the cell syntax too
+                if line.strip() == "$end":
+                    break
+                if not line.lstrip().startswith("#"):  # a comment, as in trace files; never a cell
+                    print(f"skipped malformed cell: line {lineno}: {exc}", file=sys.stderr)
+                continue
+        before, last = state, letter
+        state = state.next.get(letter) or cache.next(state, letter)
         if state.__class__ is Verdict:
             break
         write("?\n")
         flush()
     if state.__class__ is not Verdict:
-        state = cache.end(before, cell)
+        state = cache.end(before, last)
     write(str(state) + "\n")
     flush()
     return EXIT_SUCCESS if state is Verdict.SUCCESS else EXIT_FAILURE

@@ -551,10 +551,14 @@ class CachedMonitor:
     reaches one of them.  States are immutable: `next` and `end` never
     change the state they are given, so a caller may keep an earlier one.
     A peek writes scratch values into the
-    representative, so a `CachedMonitor` serves one thread at a time."""
+    representative, so a `CachedMonitor` serves one thread at a time.
+
+    `atoms` is the formula's atom set, which every letter is a subset of.
+    A caller that holds a letter may read a state's `next` table itself and
+    call `next` only for a letter it does not hold, as `stream` does."""
 
     def __init__(self, system: RuleSystem):
-        self._atoms = frozenset(node.atom for node in system.nodes if node.atom is not None)
+        self.atoms = frozenset(node.atom for node in system.nodes if node.atom is not None)
         first = Monitor(system)
         self.initial = _Node(first)
         self._nodes = {_state_key(first): self.initial}
@@ -566,12 +570,12 @@ class CachedMonitor:
     def next(self, state: _Node, cell) -> _Node | Verdict:
         """The state after `cell` when more cells follow, or the verdict
         reached there."""
-        letter = self._atoms.intersection(cell)
+        letter = self.atoms.intersection(cell)
         return state.next.get(letter) or self._miss(state, letter)
 
     def end(self, state: _Node, cell) -> Verdict:
         """The verdict of a trace that ends with `cell` after `state`."""
-        letter = self._atoms.intersection(cell)
+        letter = self.atoms.intersection(cell)
         verdict = state.end.get(letter)
         if verdict is None:
             verdict = state.end[letter] = state.monitor.peek(letter, is_last=True)
@@ -582,7 +586,7 @@ class CachedMonitor:
         if len(cells) == 0:
             raise MonitorError("cannot monitor an empty trace")
         last = len(cells) - 1
-        atoms = self._atoms
+        atoms = self.atoms
         state = self.initial
         for i in range(last):  # `next`, inlined
             letter = atoms.intersection(cells[i])

@@ -170,7 +170,12 @@ TOP = JTop()
 BOTTOM = JBottom()
 
 
-def eval_judgement(j: Judgement, u: Trace) -> bool:
+def eval_judgement(j: Judgement, u: Trace, memo: dict[Formula, int] | None = None) -> bool:
+    """The value of j over u.  Without `memo` each leaf is one `oracle_eval`
+    call.  With it, a leaf formula is built and evaluated over all of u
+    once, and `memo` keeps the cells where it holds, as a bit set, for
+    every later leaf equal to it: one dict serves one trace, over any
+    number of judgements."""
     if isinstance(j, JTop):
         return True
     if isinstance(j, JBottom):
@@ -178,11 +183,16 @@ def eval_judgement(j: Judgement, u: Trace) -> bool:
     if isinstance(j, JLeaf):
         if not 0 <= j.index < len(u):
             raise IndexError(f"judgement index {j.index} outside trace of length {len(u)}")
-        return oracle_eval(j.formula, u, j.index)
+        if memo is None:
+            return oracle_eval(j.formula, u, j.index)
+        bits = memo.get(j.formula)
+        if bits is None:
+            bits = memo[j.formula] = _build(j.formula)(u.positions, (1 << len(u.cells)) - 1)
+        return bool(bits >> j.index & 1)
     if isinstance(j, JOr):
-        return eval_judgement(j.left, u) or eval_judgement(j.right, u)
+        return eval_judgement(j.left, u, memo) or eval_judgement(j.right, u, memo)
     assert isinstance(j, JAnd)
-    return eval_judgement(j.left, u) and eval_judgement(j.right, u)
+    return eval_judgement(j.left, u, memo) and eval_judgement(j.right, u, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -85,15 +85,24 @@ MEMO_CELLS = 1024
 MEMO_LINE_CHARS = 128
 
 
-def cell_parser() -> Callable[[str], frozenset[str]]:
-    """`_parse_cell` for one input: a well-formed line text within the memo's
-    bounds is parsed once, a malformed one raises its `TraceError` each time."""
-    memo: dict[str, frozenset[str]] = {}
+def cell_parser(
+    atoms: frozenset[str] | None = None,
+    memo: dict[str, frozenset[str]] | None = None,
+) -> Callable[[str], frozenset[str]]:
+    """`_parse_cell` for one input, intersected with `atoms` when they are
+    given: a well-formed line text within the memo's bounds is parsed once,
+    a malformed one raises its `TraceError` each time.  A caller that passes
+    its own `memo` may look a line text up there with no call, and call the
+    parser only for a text the memo does not hold."""
+    if memo is None:
+        memo = {}
 
     def parse(text: str) -> frozenset[str]:
         cell = memo.get(text)
         if cell is None:
             cell = _parse_cell(text)
+            if atoms is not None:
+                cell = atoms.intersection(cell)
             if len(memo) < MEMO_CELLS and len(text) <= MEMO_LINE_CHARS:
                 memo[text] = cell
         return cell

@@ -1,6 +1,7 @@
 import io
 import os
 import queue
+import random
 import subprocess
 import sys
 import threading
@@ -281,6 +282,102 @@ class TestStreamMemory:
             tracemalloc.stop()
         assert code == 0 and sink.lines == 20_001
         assert marks[19_999] - marks[2 * MEMO_CELLS] < 4096
+
+
+MALFORMED_LINES = ("a - b", "9bad", "END", " c, END ", "A")
+# well-formed lines: atoms of the formulae, off-alphabet atoms, blank and
+# padded lines, and two lines past the memo's length bound
+WELL_FORMED_LINES = (
+    "a", "b", "c", "a,b", "b , c", "a c", ".", "", "   ", "z", "x_1,a", "b,z,c",
+    "a " * MEMO_LINE_CHARS, "z\t" * MEMO_LINE_CHARS + "b",
+)
+
+
+def _stream_lines(rng) -> list[str]:
+    """A seeded stream: mostly repeated well-formed lines, with comments,
+    malformed lines and more distinct lines than the parse memo keeps."""
+    lines = [rng.choice(WELL_FORMED_LINES) for _ in range(900)]
+    lines += [f"{rng.choice('abc')},d{i}" for i in range(MEMO_CELLS + 60)]
+    lines += [rng.choice(MALFORMED_LINES) for _ in range(25)]
+    lines += ["# a note", "  #a - b"]
+    rng.shuffle(lines)
+    return lines
+
+
+def _run_verdict(capsys, tmp_path, formula: str, cells: list[str]) -> tuple[str, int, int]:
+    """`run --trace-file` on the given cell lines: verdict, deciding cell, exit code."""
+    path = tmp_path / "cells.trace"
+    path.write_text("".join(line + "\n" for line in cells))
+    code = main(["run", formula, "--trace-file", str(path)])
+    verdict, _, _, cell = capsys.readouterr().out.split()
+    return verdict, int(cell), code
+
+
+class TestStreamAgainstRun:
+    FORMULAS = ("G (!a | F b)", "G F (a & c)", "F G (a | b)", "G (a | X (b | c))", "a U b", "(X a) U (b | !c)")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_stream_answers_as_run_on_its_well_formed_cells(self, capsys, monkeypatch, tmp_path, seed):
+        """Each stream's `?` count, last line and exit code are those of
+        `run --trace-file` on the stream's well-formed lines up to `$end`,
+        and each malformed line the stream reads is reported on its own,
+        with its line number, however often it repeats."""
+        rng = random.Random(seed)
+        for formula in self.FORMULAS:
+            lines = _stream_lines(rng)
+            end = rng.randrange(len(lines) // 2, len(lines)) if rng.random() < 0.5 else None
+            if end is not None:
+                lines.insert(end, "$end")
+            code = run_cli("stream", formula, stdin="".join(line + "\n" for line in lines), monkeypatch=monkeypatch)
+            captured = capsys.readouterr()
+            out, err = captured.out.splitlines(), captured.err.splitlines()
+
+            read = lines if end is None else lines[:end]
+            cell_lines = [
+                n for n, line in enumerate(read, start=1) if not line.lstrip().startswith("#") and line not in MALFORMED_LINES
+            ]
+            cells = [read[n - 1] for n in cell_lines] or ["."]
+            verdict, _, run_code = _run_verdict(capsys, tmp_path, formula, cells)
+            # the verdict without the end marker comes at a cell of the trace extended by one
+            _, online, _ = _run_verdict(capsys, tmp_path, formula, cells + ["."])
+            questions = min(online, len(cell_lines))
+            assert out == ["?"] * questions + [verdict], (formula, seed)
+            assert code == run_code
+
+            # lines read: up to the deciding cell's line, else all up to `$end` or EOF
+            last_read = cell_lines[online] if online < len(cell_lines) else len(read)
+            malformed = [n for n, line in enumerate(read[:last_read], start=1) if line in MALFORMED_LINES]
+            assert [line.split(":")[0] for line in err] == ["skipped malformed cell"] * len(err)
+            assert [int(line.split(":")[1].split()[1]) for line in err] == malformed, (formula, seed)
+
+    def test_a_line_seen_before_is_parsed_once_and_a_known_transition_is_not_stepped(self, capsys, monkeypatch):
+        """10k cells from k distinct lines: the cell parser runs at most k
+        times, and `CachedMonitor.next` only for a transition the stream has
+        not met, so at most once per kept state and letter."""
+        from rulerunner import traces
+
+        lines = ["a", "b", "a,b", ".", "", "c", "a,c", " b , c ", "x_1,a", "z", "b,z", "a " * 60]
+        parsed, stepped = [], []
+        parse_cell, step = traces._parse_cell, CachedMonitor.next
+        monkeypatch.setattr(traces, "_parse_cell", lambda text: parsed.append(text) or parse_cell(text))
+        monkeypatch.setattr(
+            CachedMonitor, "next", lambda cache, state, cell: stepped.append(cache) or step(cache, state, cell)
+        )
+        rng = random.Random(4)
+        stream = [rng.choice(lines) for _ in range(10_000)]
+        sink = _CountingSink()
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for line in stream)))
+        monkeypatch.setattr("sys.stdout", sink)
+        code = main(["stream", "G (!a | F b)"])
+        assert sink.lines == 10_001
+        assert len(parsed) <= len(lines)
+        cache = stepped[0]
+        letters = {frozenset("ab").intersection(parse_cell(line)) for line in lines}  # over the formula's atoms
+        assert all(c is cache for c in stepped)
+        assert 0 < len(stepped) <= len(cache) * len(letters)
+        monkeypatch.undo()
+        assert main(["run", "G (!a | F b)", "--trace", " - ".join(line.strip() or "." for line in stream)]) == code
+        assert capsys.readouterr().out.split()[0] == ("SUCCESS" if code == 0 else "FAILURE")
 
 
 class TestGen:

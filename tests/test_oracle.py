@@ -206,6 +206,49 @@ def test_judgement_index_must_be_valid():
         eval_judgement(JLeaf(Atom("b"), 3), u)
 
 
+class TestJudgementLeafMemo:
+    """With a memo, each leaf formula equal to one seen before over the same
+    trace is read from the memo: the same values, one build per formula."""
+
+    @staticmethod
+    def judgement(rng, formulas, n, depth=4):
+        if depth == 0 or rng.random() < 0.3:
+            return JLeaf(rng.choice(formulas), rng.randrange(n))
+        sub = TestJudgementLeafMemo.judgement
+        return rng.choice((JAnd, JOr))(sub(rng, formulas, n, depth - 1), sub(rng, formulas, n, depth - 1))
+
+    def test_memo_gives_the_values_of_oracle_eval(self):
+        rng = random.Random(3)
+        for _ in range(40):
+            u = Trace(tuple(frozenset(a for a in "ab" if rng.random() < 0.5) for _ in range(rng.randint(1, 6))))
+            # equal formulae as distinct objects, as judgements of successive states hold them
+            formulas = [random_formula(3, ["a", "b"], rng.randrange(30)) for _ in range(12)]
+            memo = {}
+            for _ in range(20):
+                j = self.judgement(rng, formulas, len(u))
+                assert eval_judgement(j, u, memo) == eval_judgement(j, u)
+            assert set(memo) <= set(formulas)
+
+    def test_index_must_be_valid(self):
+        with pytest.raises(IndexError):
+            eval_judgement(JLeaf(Atom("b"), 3), parse_trace_inline("[b]"), {})
+
+    def test_each_leaf_formula_is_built_once(self, monkeypatch):
+        from rulerunner import oracle
+
+        built = []
+        build = oracle._build
+        monkeypatch.setattr(oracle, "_build", lambda g: built.append(g) or build(g))
+        u = parse_trace_inline("[a - b - a,b]")
+        leaves = [JLeaf(Next(Atom("b")), i) for i in range(3)] + [JLeaf(Eventually(Atom("a")), i) for i in range(3)]
+        memo = {}
+        for x in leaves:
+            for y in leaves:
+                eval_judgement(JAnd(x, JOr(y, x)), u, memo)
+        roots = [g for g in built if g in (Next(Atom("b")), Eventually(Atom("a")))]
+        assert len(roots) == 2
+
+
 def test_enumerate_depth_zero():
     assert enumerate_formulas(0, ["a"]) == [TrueConst(), Atom("a"), NegAtom("a")]
 
