@@ -92,7 +92,8 @@ def cmd_stream(args) -> int:
     Each line text is read into its letter, the cell intersected with the
     formula's atoms, and `cell_parser` keeps it in `letters` within the
     memo's bounds; a line met before whose transition is known costs a
-    lookup there and one in the state's `next` table, with no call."""
+    lookup there and one in the state's `next` table (read as `_Node`'s
+    docstring allows), with no call."""
     cache = CachedMonitor(compile_formula(_parse_nnf(args.formula)))
     state = before = cache.initial
     last: frozenset[str] = frozenset()

@@ -525,7 +525,12 @@ class _Node:
     """One state of the cached automaton: a representative monitor in it,
     which is only ever peeked at and cloned, never advanced, and the
     transitions found so far.  A kept node's `next` holds only kept nodes
-    and verdicts."""
+    and verdicts.
+
+    `next` is public to a caller that holds letters (cells already
+    intersected with `CachedMonitor.atoms`): it may read a known transition
+    there and call `CachedMonitor.next` only on a miss, as `cli.cmd_stream`
+    does, so a change to this table's keys or values must update it too."""
 
     __slots__ = ("monitor", "next", "end")
 

@@ -11,7 +11,8 @@ unfolding.
 
 Each formula is built once into a tree of closures, one per node, and
 `oracle_eval` keeps the last one it built: consecutive calls on the same
-formula object reuse its closures and walk no formula.
+formula object reuse its closures and walk no formula.  `eval_judgement`
+keeps its own memo, of each leaf formula's bits over one trace.
 """
 
 from __future__ import annotations
@@ -171,11 +172,12 @@ BOTTOM = JBottom()
 
 
 def eval_judgement(j: Judgement, u: Trace, memo: dict[Formula, int] | None = None) -> bool:
-    """The value of j over u.  Without `memo` each leaf is one `oracle_eval`
-    call.  With it, a leaf formula is built and evaluated over all of u
-    once, and `memo` keeps the cells where it holds, as a bit set, for
-    every later leaf equal to it: one dict serves one trace, over any
-    number of judgements."""
+    """The value of j over u.  A leaf formula is built and evaluated over
+    all of u once, and `memo` keeps the cells where it holds, as a bit set,
+    for every later leaf equal to it: one dict serves one trace, over any
+    number of judgements, and without one each call keeps its own."""
+    if memo is None:
+        memo = {}
     if isinstance(j, JTop):
         return True
     if isinstance(j, JBottom):
@@ -183,8 +185,6 @@ def eval_judgement(j: Judgement, u: Trace, memo: dict[Formula, int] | None = Non
     if isinstance(j, JLeaf):
         if not 0 <= j.index < len(u):
             raise IndexError(f"judgement index {j.index} outside trace of length {len(u)}")
-        if memo is None:
-            return oracle_eval(j.formula, u, j.index)
         bits = memo.get(j.formula)
         if bits is None:
             bits = memo[j.formula] = _build(j.formula)(u.positions, (1 << len(u.cells)) - 1)
