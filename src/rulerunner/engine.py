@@ -79,6 +79,8 @@ class MonitorError(RuntimeError):
 
 
 _UNDECIDED = Verdict.UNDECIDED
+# the verdict a root value's kind stands for
+_VERDICT = {"T": Verdict.SUCCESS, "F": Verdict.FAILURE, "?": _UNDECIDED}
 _PLAIN, _L, _R, _M = EvalMode.PLAIN, EvalMode.L, EvalMode.R, EvalMode.M
 # each node code's tables, in `truth.TABLES` order (initial mode first)
 _TABLES = [tuple(truth.TABLES.get(kind, {}).values()) for kind in KINDS]
@@ -308,10 +310,7 @@ class Monitor:
         if self.verdict is not _UNDECIDED:
             raise MonitorError("monitor already produced a verdict; the trace beyond it is ignored")
         self._fire(frozenset(observations), is_last, False)
-        kind = self._root.value.kind
-        if kind == "?":
-            return _UNDECIDED
-        return Verdict.SUCCESS if kind == "T" else Verdict.FAILURE
+        return _VERDICT[self._root.value.kind]
 
     def step(self, observations, is_last: bool = False) -> StepOutcome:
         """Process one trace cell.  `is_last` puts the end-of-trace marker
@@ -379,11 +378,10 @@ class Monitor:
         """Take the verdict from the root's value and, while undecided, make
         the next cell's state; returns the (fid, epoch) of folded instances."""
         self.cell += 1
-        kind = self._root.value.kind
-        if kind == "?":
+        self.verdict = _VERDICT[self._root.value.kind]
+        if self.verdict is _UNDECIDED:
             self._reactivate(self.cell)
             return self._merge()
-        self.verdict = Verdict.SUCCESS if kind == "T" else Verdict.FAILURE
         return ()
 
     # -- between cells ---------------------------------------------------------

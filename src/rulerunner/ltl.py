@@ -17,10 +17,10 @@ chain, prefix operators and parentheses.  `to_nnf`, `is_nnf`, `format_formula` a
 numbers the distinct subformulae in one post-order walk that knows a node
 by its class and its operands' ids (a leaf by its class and name), never by
 hashing or comparing a formula, and composes a subformula's text from its
-operands' texts on first read; `id_of` finds a formula's id by the same
-walk.  The tables `_BINARY_TEXT`, `_PREFIX_TEXT` and `_LEVEL` state how
-each operator prints and when an operand takes parentheses, once, for those
-texts and for `format_formula`, which emits its text left to right.
+operands' texts on first read.  The tables `_BINARY_TEXT`, `_PREFIX_TEXT`
+and `_LEVEL` state how each operator prints and when an operand takes
+parentheses, once, for those texts and for `format_formula`, which emits
+its text left to right.
 """
 
 from __future__ import annotations
@@ -367,19 +367,18 @@ class SubformulaIndex:
     subformulae share an id without hashing or comparing formulae, and a
     node object met again is found by its `id()`.  `kids[fid]` holds the
     operand ids of subformula `fid`; its text is composed from theirs on
-    first read.  `id_of` looks a formula up by the same walk.
+    first read.
     """
 
     def __init__(self, root: Formula):
         self.formulas: list[Formula] = []
         self.kids: list[tuple[int, ...]] = []
         self._keys: dict[tuple, int] = {}
-        self.root = self._walk(root, add=True)
+        self.root = self._walk(root)
         self._texts: list[str | None] = [None] * len(self.formulas)
 
-    def _walk(self, root: Formula, add: bool) -> int:
-        """The id of `root`, numbering each subformula not met before if
-        `add`, else raising KeyError for it."""
+    def _walk(self, root: Formula) -> int:
+        """The id of `root`, numbering each subformula not met before."""
         keys, formulas, kids = self._keys, self.formulas, self.kids
         seen: dict[int, int] = {}  # id() of a numbered node -> its fid; `root` keeps every node alive
         todo = [root]
@@ -409,8 +408,6 @@ class SubformulaIndex:
             key = (cls, operands) if operands else (cls, getattr(f, "name", None))  # a leaf is known by its name
             fid = keys.get(key)
             if fid is None:
-                if not add:
-                    raise KeyError(f"no subformula {format_formula(f)}")
                 fid = keys[key] = len(formulas)
                 formulas.append(f)
                 kids.append(operands)
@@ -419,10 +416,6 @@ class SubformulaIndex:
 
     def __len__(self) -> int:
         return len(self.formulas)
-
-    def id_of(self, f: Formula) -> int:
-        """The id of the subformula structurally equal to `f`."""
-        return self._walk(f, add=False)
 
     def text(self, fid: int) -> str:
         text = self._texts[fid]

@@ -154,10 +154,9 @@ def check_run(f: Formula, u: Trace) -> CheckReport:
 
     steps: list[CheckStep] = []
     violation_at = None
-    leaves: dict[Formula, int] = {}  # each leaf formula's cells of u, evaluated once per run
     for number, state in enumerate(states):
         judgement = map_state(system, state)
-        value = eval_judgement(judgement, u, leaves)
+        value = eval_judgement(judgement, u)
         steps.append(CheckStep(number, state.index, state.render(), str(judgement), value))
         if value != expected and violation_at is None:
             violation_at = number

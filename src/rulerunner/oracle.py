@@ -12,7 +12,8 @@ unfolding.
 Each formula is built once into a tree of closures, one per node, and
 `oracle_eval` keeps the last one it built: consecutive calls on the same
 formula object reuse its closures and walk no formula.  `eval_judgement`
-keeps its own memo, of each leaf formula's bits over one trace.
+reads each leaf through `oracle_eval`, so no formula is ever hashed or
+compared.
 """
 
 from __future__ import annotations
@@ -171,28 +172,18 @@ TOP = JTop()
 BOTTOM = JBottom()
 
 
-def eval_judgement(j: Judgement, u: Trace, memo: dict[Formula, int] | None = None) -> bool:
-    """The value of j over u.  A leaf formula is built and evaluated over
-    all of u once, and `memo` keeps the cells where it holds, as a bit set,
-    for every later leaf equal to it: one dict serves one trace, over any
-    number of judgements, and without one each call keeps its own."""
-    if memo is None:
-        memo = {}
+def eval_judgement(j: Judgement, u: Trace) -> bool:
+    """The value of j over u, each leaf read by `oracle_eval`."""
     if isinstance(j, JTop):
         return True
     if isinstance(j, JBottom):
         return False
     if isinstance(j, JLeaf):
-        if not 0 <= j.index < len(u):
-            raise IndexError(f"judgement index {j.index} outside trace of length {len(u)}")
-        bits = memo.get(j.formula)
-        if bits is None:
-            bits = memo[j.formula] = _build(j.formula)(u.positions, (1 << len(u.cells)) - 1)
-        return bool(bits >> j.index & 1)
+        return oracle_eval(j.formula, u, j.index)
     if isinstance(j, JOr):
-        return eval_judgement(j.left, u, memo) or eval_judgement(j.right, u, memo)
+        return eval_judgement(j.left, u) or eval_judgement(j.right, u)
     assert isinstance(j, JAnd)
-    return eval_judgement(j.left, u, memo) and eval_judgement(j.right, u, memo)
+    return eval_judgement(j.left, u) and eval_judgement(j.right, u)
 
 
 # ---------------------------------------------------------------------------

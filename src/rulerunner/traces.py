@@ -132,8 +132,12 @@ def format_trace_inline(t: Trace) -> str:
     return "[" + " - ".join(rendered) + "]"
 
 
-def parse_trace_lines(lines: list[str], source: str = "<trace>") -> Trace:
+def read_trace_file(path: str) -> Trace:
     """One cell per line; ``#`` lines are comments, blank lines empty cells."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # trailing newline does not open a cell
     cells = []
     parse = cell_parser()
     for lineno, raw in enumerate(lines, start=1):
@@ -141,19 +145,10 @@ def parse_trace_lines(lines: list[str], source: str = "<trace>") -> Trace:
             cells.append(parse(raw))
         except TraceError as exc:  # a comment fails the cell syntax too
             if not raw.lstrip().startswith("#"):
-                raise TraceError(f"{source}:{lineno}: line: {exc}") from None
+                raise TraceError(f"{path}:{lineno}: line: {exc}") from None
     if not cells:
-        raise TraceError(f"{source}: empty trace")
+        raise TraceError(f"{path}: empty trace")
     return Trace(tuple(cells))
-
-
-def read_trace_file(path: str) -> Trace:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # trailing newline does not open a cell
-    return parse_trace_lines(lines, source=path)
 
 
 def format_trace_file(t: Trace) -> str:

@@ -74,7 +74,10 @@ def sweep_traces(per_combo: int = 9, max_length: int = 6, seed: int = 90210) -> 
 def _sweep_batch(args):
     """Worker: differential + end-binary + extension-invariance checks for
     one batch of formulae over the shared trace corpus, and the cached
-    monitor's verdict and deciding cell against `run_trace`'s."""
+    monitor's verdict and deciding cell against `run_trace`'s.  A trace
+    equal to one seen before reuses its `run_trace` result and oracle
+    value; every pair still gets every check, in order, so the extension
+    draws stay the same."""
     batch_index, formulas, traces = args
     rng = random.Random(0xACCE97 + batch_index)
     mismatches = []
@@ -87,16 +90,20 @@ def _sweep_batch(args):
         system = compile_formula(f)
         cache = CachedMonitor(system)
         ext_budget = 2  # extension checks per formula
+        known = {}  # per distinct trace: its run and, if decided, the oracle's value
         for u in traces:
             comparisons += 1
-            result = run_trace(system, u)
+            if u.cells not in known:
+                result = run_trace(system, u)
+                known[u.cells] = result, result.verdict is not Verdict.UNDECIDED and oracle_eval(f, u, 0)
+            result, oracle_true = known[u.cells]
             if cache.run(u.cells) != (result.verdict, result.deciding_cell):
                 cache_bad.append((f, u))
             if result.verdict is Verdict.UNDECIDED:
                 nonbinary.append((f, u))
                 continue
             engine_true = result.verdict is Verdict.SUCCESS
-            if oracle_eval(f, u, 0) != engine_true:
+            if oracle_true != engine_true:
                 mismatches.append((f, u, result.verdict))
             if ext_budget and len(result.outcomes) < len(u):
                 ext_budget -= 1

@@ -221,7 +221,7 @@ class TestExplain:
         # G F a: the F a spawned at cell 1 waits on the same a as the one
         # spawned at cell 0, so it is folded into it and F a keeps epoch 0
         system = system_for("G F a")
-        eventually = system.index.id_of(to_nnf(parse_formula("F a")))
+        eventually = system.index.formulas.index(to_nnf(parse_formula("F a")))
         outcomes = run_trace(system, parse_trace_inline("[. - . - .]")).outcomes
         for outcome in outcomes[:-1]:
             assert outcome.folded == ((eventually, outcome.cell + 1),)

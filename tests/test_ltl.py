@@ -231,14 +231,14 @@ class TestSubformulas:
     def test_post_order_ids(self):
         idx = SubformulaIndex(parse_formula("(a U b) | X (a U b)"))
         for f in idx.formulas:
-            fid = idx.id_of(f)
+            fid = idx.formulas.index(f)
             kids = []
             if isinstance(f, (Or, And, Until)):
                 kids = [f.left, f.right]
             elif isinstance(f, (Next, WeakNext, Eventually, Always)):
                 kids = [f.sub]
             for kid in kids:
-                assert idx.id_of(kid) < fid
+                assert idx.formulas.index(kid) < fid
 
     def test_root_has_largest_id(self):
         f = parse_formula("a U (b & X c)")
@@ -255,5 +255,5 @@ class TestSubformulas:
 @settings(max_examples=200)
 def test_subformula_children_precede_parents(f):
     idx = SubformulaIndex(f)
-    ids = [idx.id_of(g) for g in idx.formulas]
+    ids = [idx.formulas.index(g) for g in idx.formulas]
     assert ids == sorted(ids)

@@ -2,7 +2,6 @@
 formula, negation-free subtrees kept as they are, and subformula texts
 composed from their operands' texts."""
 
-import pytest
 from hypothesis import given, settings
 
 from rulerunner import (
@@ -62,16 +61,3 @@ def test_composed_texts_match_format(f):
     assert idx.text(idx.root) == format_formula(f)  # composes every text, from the root down
     assert [idx.text(fid) for fid in range(len(idx))] == list(map(format_formula, idx.formulas))
 
-
-def test_id_of_finds_an_equal_formula_by_its_operand_ids():
-    def wide(n):
-        f = parse_formula("G (!p0 | F q0)")
-        for i in range(1, n):
-            f = And(f, parse_formula(f"G (!p{i} | F q{i})"))
-        return f
-
-    idx = SubformulaIndex(wide(1000))
-    assert idx.id_of(wide(1000)) == idx.root  # an equal formula built apart, as deep as the spec
-    assert idx.id_of(parse_formula("F q7")) < idx.id_of(parse_formula("G (!p7 | F q7)"))
-    with pytest.raises(KeyError):
-        idx.id_of(parse_formula("F p7"))

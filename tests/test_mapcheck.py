@@ -202,6 +202,12 @@ class TestRandomRuns:
         assert report.violation_at == 0
 
 
+def test_deep_next_chain_maps_without_deep_recursion():
+    # every judgement leaf is read by `oracle_eval`, which hashes no formula
+    report = check("X " * 600 + "a", "[a - a]")
+    assert report.passed and report.verdict is Verdict.FAILURE
+
+
 def test_formula_not_in_nnf_rejected():
     """`check_run` takes an NNF formula; one not normalised is refused."""
     with pytest.raises(NnfError):

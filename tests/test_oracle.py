@@ -206,57 +206,33 @@ def test_judgement_index_must_be_valid():
         eval_judgement(JLeaf(Atom("b"), 3), u)
 
 
-class TestJudgementLeafMemo:
-    """With a memo, each leaf formula equal to one seen before over the same
-    trace is read from the memo: the same values, one build per formula."""
-
+class TestJudgementLeaves:
     @staticmethod
     def judgement(rng, formulas, n, depth=4):
         if depth == 0 or rng.random() < 0.3:
             return JLeaf(rng.choice(formulas), rng.randrange(n))
-        sub = TestJudgementLeafMemo.judgement
+        sub = TestJudgementLeaves.judgement
         return rng.choice((JAnd, JOr))(sub(rng, formulas, n, depth - 1), sub(rng, formulas, n, depth - 1))
 
     @staticmethod
     def reference(j, u):
-        """j's value with each leaf read by `oracle_eval`."""
+        """j's value with each leaf read from `textbook`."""
         if isinstance(j, JLeaf):
-            return oracle_eval(j.formula, u, j.index)
-        sub = TestJudgementLeafMemo.reference
+            return textbook(j.formula, u)[j.index]
+        sub = TestJudgementLeaves.reference
         if isinstance(j, JOr):
             return sub(j.left, u) or sub(j.right, u)
         return sub(j.left, u) and sub(j.right, u)
 
-    def test_memo_gives_the_values_of_oracle_eval(self):
+    def test_random_judgements_match_the_textbook(self):
         rng = random.Random(3)
         for _ in range(40):
             u = Trace(tuple(frozenset(a for a in "ab" if rng.random() < 0.5) for _ in range(rng.randint(1, 6))))
             # equal formulae as distinct objects, as judgements of successive states hold them
             formulas = [random_formula(3, ["a", "b"], rng.randrange(30)) for _ in range(12)]
-            memo = {}
             for _ in range(20):
                 j = self.judgement(rng, formulas, len(u))
-                assert eval_judgement(j, u, memo) == self.reference(j, u)
-            assert set(memo) <= set(formulas)
-
-    def test_index_must_be_valid(self):
-        with pytest.raises(IndexError):
-            eval_judgement(JLeaf(Atom("b"), 3), parse_trace_inline("[b]"), {})
-
-    def test_each_leaf_formula_is_built_once(self, monkeypatch):
-        from rulerunner import oracle
-
-        built = []
-        build = oracle._build
-        monkeypatch.setattr(oracle, "_build", lambda g: built.append(g) or build(g))
-        u = parse_trace_inline("[a - b - a,b]")
-        leaves = [JLeaf(Next(Atom("b")), i) for i in range(3)] + [JLeaf(Eventually(Atom("a")), i) for i in range(3)]
-        memo = {}
-        for x in leaves:
-            for y in leaves:
-                eval_judgement(JAnd(x, JOr(y, x)), u, memo)
-        roots = [g for g in built if g in (Next(Atom("b")), Eventually(Atom("a")))]
-        assert len(roots) == 2
+                assert eval_judgement(j, u) == self.reference(j, u)
 
 
 def test_enumerate_depth_zero():
