@@ -9,11 +9,12 @@ Each operator class states its shape by deriving from `Unary` or `Binary`
 and carries its concrete ``symbol`` and, if binary, its precedence
 ``level``; the negation duals `to_nnf` applies are the table `_DUAL`.
 
-The parser climbs the binary precedence levels in one loop over the table
-`_BINARY_OPS`, so its recursion nests only along a right-nested ``U``
-chain, prefix operators and parentheses.  `to_nnf`, `is_nnf`, `format_formula` and
-`SubformulaIndex` walk with explicit stacks, so a wide formula such as a
-1,000-conjunct ``&`` chain needs no deep recursion.  `SubformulaIndex`
+The parser reads the text as one list of token strings and climbs the
+precedence levels with an explicit stack of pending operators, so no
+nesting of parentheses, prefix operators or ``U`` makes it recurse.
+`to_nnf`, `is_nnf`, `format_formula` and `SubformulaIndex` walk with
+explicit stacks too, so a formula nested 10,000 levels deep, or a wide
+one such as a 1,000-conjunct ``&`` chain, needs no deep recursion.  `SubformulaIndex`
 numbers the distinct subformulae in one post-order walk that knows a node
 by its class and its operands' ids (a leaf by its class and name), never by
 hashing or comparing a formula, and composes a subformula's text from its
@@ -119,112 +120,87 @@ ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 _PREFIX_OPS = {cls.symbol: cls for cls in (Not, Next, WeakNext, Eventually, Always)}
 _BINARY_OPS = {cls.symbol: cls for cls in (Or, And, Until)}
 _ALIASES = {"<>": "F", "[]": "G"}
+_PREFIX_BY_TEXT = _PREFIX_OPS | {alias: _PREFIX_OPS[symbol] for alias, symbol in _ALIASES.items()}
+_SYMBOLS = {*_PREFIX_BY_TEXT, *_BINARY_OPS, "(", ")"}
 
+# one token per match; a non-space character that starts no atom or symbol
+# is a token of its own, which the parser rejects
 _TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<atom>{ATOM_RE.pattern})"
-    rf"|(?P<sym>{'|'.join(map(re.escape, _ALIASES))}|[{re.escape(''.join([*_PREFIX_OPS, *_BINARY_OPS, '(', ')']))}]))"
+    rf"{ATOM_RE.pattern}|{'|'.join(map(re.escape, _ALIASES))}"
+    rf"|[{re.escape(''.join([*_PREFIX_OPS, *_BINARY_OPS, '(', ')']))}]|\S"
 )
 
 # prefix operators bind tighter than any Binary.level, so never need parentheses
 _LEVEL_UNARY = 4
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.group("atom"):
-            word = m.group("atom")
-            kind = "true" if word == "true" else "atom"
-            tokens.append((kind, word, m.start("atom")))
-        else:
-            sym = m.group("sym")
-            tokens.append(("op", _ALIASES.get(sym, sym), m.start("sym")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, sym: str) -> None:
-        kind, val, pos = self.peek()
-        if kind != "op" or val != sym:
-            raise ParseError(f"expected {sym!r}", pos)
-        self.advance()
-
-    def parse(self) -> Formula:
-        kind, _, pos = self.peek()
-        if kind == "end":
-            raise ParseError("empty formula", pos)
-        f = self.binary_expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected token {val!r}", pos)
-        return f
-
-    def binary_expr(self, level: int = Or.level) -> Formula:
-        """A formula whose binary operators outside parentheses have at least
-        this precedence level.  Each such operator in turn takes the formula
-        built so far and, as its right operand, the formula that follows at
-        its own level (U, grouping to the right) or one tighter (& and |,
-        grouping to the left)."""
-        f = self.unary_expr()
-        tokens = self.tokens
-        while True:
-            kind, val, _ = tokens[self.i]
-            op = _BINARY_OPS.get(val) if kind == "op" else None
-            if op is None or op.level < level:
-                return f
-            self.i += 1
-            f = op(f, self.binary_expr(op.level if op is Until else op.level + 1))
-
-    def unary_expr(self) -> Formula:
-        kind, val, _ = self.tokens[self.i]
-        op = _PREFIX_OPS.get(val) if kind == "op" else None
-        if op is None:
-            return self.primary()
-        self.i += 1
-        sub = self.unary_expr()
-        if op is Not and isinstance(sub, Atom):
-            return NegAtom(sub.name)
-        return op(sub)
-
-    def primary(self) -> Formula:
-        kind, val, pos = self.advance()
-        if kind == "true":
-            return TrueConst()
-        if kind == "atom":
-            return Atom(val)
-        if kind == "op" and val == "(":
-            f = self.binary_expr()
-            self.expect_op(")")
-            return f
-        raise ParseError(f"expected a formula, got {val!r}" if val else "unexpected end of input", pos)
-
-
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax.  Negation of compound formulae is accepted and
-    left as a Not node for `to_nnf` to eliminate."""
-    return _Parser(text).parse()
+    left as a Not node for `to_nnf` to eliminate.
+
+    Precedence is climbed with an explicit stack of operators that wait for
+    their operand, one frame ``(level, class, left operand)`` each: a prefix
+    operator at `_LEVEL_UNARY`, a binary one at its ``level`` with its left
+    operand, an open parenthesis at 0 with no class.  Before an operator
+    with level ``n`` takes the formula read so far as its left operand,
+    every frame at level ``n`` or above takes it as its operand in turn
+    (above ``n`` only, for the right-associative ``U``); a closing
+    parenthesis or the end of the text closes every frame above 0."""
+    tokens = _TOKEN_RE.findall(text)
+    if not tokens:
+        raise ParseError("empty formula", len(text))
+    tokens.append("")  # the end of the text
+    stack: list[tuple[int, type | None, Formula | None]] = [(-1, None, None)]
+    f = None  # the formula just read, while it waits for the token after it
+    for i, token in enumerate(tokens):
+        if f is None:  # an operand is due
+            op = _PREFIX_BY_TEXT.get(token)
+            if op is not None:
+                stack.append((_LEVEL_UNARY, op, None))
+            elif token == "(":
+                stack.append((0, None, None))
+            elif token == "true":
+                f = TrueConst()
+            elif "a" <= token[:1] <= "z":  # the pattern tries an atom first
+                f = Atom(token)
+            else:
+                raise _error(text, i, f"expected a formula, got {token!r}" if token else "unexpected end of input")
+            continue
+        op = _BINARY_OPS.get(token)
+        level = 1 if op is None else op.level + (op is Until)
+        while stack[-1][0] >= level:
+            _, cls, left = stack.pop()
+            if left is not None:
+                f = cls(left, f)
+            elif cls is Not and f.__class__ is Atom:
+                f = NegAtom(f.name)
+            else:
+                f = cls(f)
+        if op is not None:
+            stack.append((op.level, op, f))
+            f = None
+        elif stack[-1][0] == 0:  # inside parentheses
+            if token != ")":
+                raise _error(text, i, "expected ')'")
+            stack.pop()
+        elif not token:
+            return f
+        else:
+            raise _error(text, i, f"unexpected token {_ALIASES.get(token, token)!r}")
+
+
+def _error(text: str, index: int, message: str) -> ParseError:
+    """The error for `message` at token `index` (at the end of the text past
+    the last token), unless a character in the text starts no token: then
+    the first such character is the error, wherever it is.  Only an error
+    needs token positions, so they are found here, by matching again."""
+    starts = []
+    for m in _TOKEN_RE.finditer(text):
+        token = m.group()
+        if token not in _SYMBOLS and not ATOM_RE.match(token):
+            return ParseError(f"unexpected character {token!r}", m.start())
+        starts.append(m.start())
+    return ParseError(message, starts[index] if index < len(starts) else len(text))
 
 
 # the operator a negation turns each operator into (negated until has none)

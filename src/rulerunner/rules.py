@@ -59,8 +59,13 @@ _CODE_OF = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RuleName:
+    """A rule's name: subformula `fid` in `mode`.  A compile record, equal
+    and hashed by value and read-only by convention.  It is not frozen: a
+    frozen dataclass sets each field through `object.__setattr__`, which
+    made building these records most of the cost of compiling."""
+
     fid: int
     mode: EvalMode = EvalMode.PLAIN
 
@@ -125,8 +130,11 @@ class ReactivationRule:
         return lhs + " -> " + ", ".join(r.render(index) for r in self.consequents)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class NodeInfo:
+    """One subformula as the engine steps it.  A compile record, read-only
+    by convention (see `RuleName`); the engine reads its fields by slot."""
+
     kind: str
     code: int  # dispatch code, the index of `kind` in KINDS
     atom: str | None = None
@@ -191,14 +199,14 @@ def compile_formula(f: Formula) -> RuleSystem:
         code = _CODE_OF[g.__class__]
         own = (RuleName(fid, _FIRST_MODE[code]),)
         if len(kids) == 2:
-            nodes.append(NodeInfo(KINDS[code], code, left=kids[0], right=kids[1], spawn_ops=kids))
+            nodes.append(NodeInfo(KINDS[code], code, None, kids[0], kids[1], kids))
             own = _merge(init_sets[kids[0]], init_sets[kids[1]]) + own  # operand fids are below fid
         elif not kids:
-            nodes.append(NodeInfo(KINDS[code], code, atom=getattr(g, "name", None)))
+            nodes.append(NodeInfo(KINDS[code], code, getattr(g, "name", None)))
         elif code == K_NEXT or code == K_WEAKNEXT:  # a next holds its operand only from the next cell
-            nodes.append(NodeInfo(KINDS[code], code, left=kids[0]))
+            nodes.append(NodeInfo(KINDS[code], code, None, kids[0]))
         else:
-            nodes.append(NodeInfo(KINDS[code], code, left=kids[0], spawn_ops=kids))
+            nodes.append(NodeInfo(KINDS[code], code, None, kids[0], None, kids))
             own = init_sets[kids[0]] + own
         init_sets.append(own)
     return RuleSystem(index, tuple(nodes), tuple(init_sets), index.root)

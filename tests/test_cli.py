@@ -96,10 +96,29 @@ class TestRun:
         main(["run", "G a", "--trace", "[a - a]"])
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("formula", ["(" * 400 + "a" + ")" * 400, "X " * 5000 + "a"])
-    def test_formula_nested_too_deeply_exits_2(self, capsys, formula):
-        assert main(["run", formula, "--trace", "a"]) == 2
-        assert capsys.readouterr().err.strip() == "error: formula nested too deeply"
+    @pytest.mark.parametrize(
+        "formula,trace,verdict",
+        [
+            ("(" * 10_000 + "a" + ")" * 10_000, "b", "FAILURE at cell 0"),
+            ("X " * 10_000 + "a", "[a - b]", "FAILURE at cell 1"),
+            ("!" * 10_000 + "a", "a", "SUCCESS at cell 0"),
+            (" U ".join(["a"] * 3_000 + ["b"]), "[a - b]", "SUCCESS at cell 1"),
+        ],
+        ids=["parentheses", "next", "negation", "until"],
+    )
+    def test_deeply_nested_formula_runs(self, capsys, formula, trace, verdict):
+        assert main(["run", formula, "--trace", trace]) == (0 if verdict.startswith("SUCCESS") else 1)
+        assert capsys.readouterr().out == verdict + "\n"
+
+    def test_recursion_past_the_limit_exits_2(self, capsys, monkeypatch):
+        """The reference semantics still recurses once per formula level."""
+
+        def too_deep(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "oracle_eval", too_deep)
+        assert main(["diff", "--max-depth", "1", "--traces", "1", "--max-length", "1"]) == 2
+        assert capsys.readouterr().err == "error: formula nested too deeply\n"
 
     def test_long_next_chain_runs(self, capsys):
         assert main(["run", "X " * 700 + "a", "--trace", "a"]) == 1

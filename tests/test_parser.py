@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from rulerunner import ParseError, format_formula, parse_formula
+from rulerunner import Atom, NegAtom, Next, Not, ParseError, Until, format_formula, parse_formula
 
 PINNED_ERRORS = [
     ("", "empty formula", 0),
@@ -48,6 +48,34 @@ def test_pinned_error(text, message, position):
         parse_formula(text)
     assert str(err.value) == f"{message} (at position {position})"
     assert err.value.position == position
+
+
+DEPTH = 10_000
+
+
+def test_deep_parentheses_parse():
+    assert parse_formula("(" * DEPTH + "a" + ")" * DEPTH) == Atom("a")
+
+
+def test_deep_prefix_chains_parse():
+    f = parse_formula("X " * DEPTH + "a")
+    for _ in range(DEPTH):
+        assert f.__class__ is Next
+        f = f.sub
+    assert f == Atom("a")
+    f = parse_formula("!" * DEPTH + "a")
+    for _ in range(DEPTH - 1):
+        assert f.__class__ is Not
+        f = f.sub
+    assert f == NegAtom("a")
+
+
+def test_deep_until_chain_parses_right_nested():
+    f = parse_formula(" U ".join(f"p{i}" for i in range(DEPTH + 1)))
+    for i in range(DEPTH):
+        assert f.__class__ is Until and f.left == Atom(f"p{i}")
+        f = f.right
+    assert f == Atom(f"p{DEPTH}")
 
 
 PREFIX = ("!", "X", "W", "F", "G", "<>", "[]")

@@ -339,6 +339,17 @@ class TestStructuralProperties:
         f = to_nnf(parse_formula("(a U b) | G (a & X b)"))
         assert dump_rules(compile_formula(f)) == dump_rules(compile_formula(f))
 
+    def test_compile_records_are_values(self):
+        f = to_nnf(parse_formula("(a U b) | G (a & X b)"))
+        one, two = compile_formula(f), compile_formula(f)
+        assert one.nodes == two.nodes and one.nodes is not two.nodes
+        assert one.init_sets == two.init_sets
+        names = {*one.initial, *two.initial}  # an equal name from the second compile is the same member
+        assert len(names) == len(one.initial)
+        assert all(RuleName(name.fid, name.mode) in names for name in one.initial)
+        until = one.index.formulas.index(f.left)
+        assert RuleName(until, EvalMode.A) in names and RuleName(until) not in names
+
     def test_compile_and_run_build_no_listing(self):
         system = compile_text("(a U b) | G F X a")
         run_trace(system, parse_trace_inline("[a - . - b - a]"))
