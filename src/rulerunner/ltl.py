@@ -190,8 +190,8 @@ def parse_formula(text: str) -> Formula:
 
 
 def _error(text: str, index: int, message: str) -> ParseError:
-    """The error for `message` at token `index` (at the end of the text past
-    the last token), unless a character in the text starts no token: then
+    """The error for `message` at token `index`, or at the end of the text
+    for the end token, unless a character in the text starts no token: then
     the first such character is the error, wherever it is.  Only an error
     needs token positions, so they are found here, by matching again."""
     starts = []
