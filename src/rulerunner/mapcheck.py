@@ -6,9 +6,13 @@ A state is the monitor's live instance graph before a cell
 Each instance maps to a judgement at the current cell by one rule per
 operator kind, reading its operand instances: a formula progression in the
 sense of Roşu and Havelund, with the unfoldings ``F g ≡ g ∨ X F g`` and
-``G g ≡ g ∧ W G g``.  The mapping covers the whole grammar, including runs
-with several live epochs of one subformula and runs in which instances were
-folded, so every step of every run is checked.
+``G g ≡ g ∧ W G g``.  Operands carry smaller subformula ids than their
+parents, so one forward pass over the graph maps every instance after its
+operands, with no recursion.  The mapping covers the whole grammar,
+including runs with several live epochs of one subformula and runs in which
+instances were folded.  `check_run` maps and evaluates each state as
+`Monitor.step` records it, so every step of every run is checked and no
+state is kept.
 """
 
 from __future__ import annotations
@@ -24,75 +28,64 @@ from .traces import Trace, format_trace_inline
 from .truth import EvalMode, TruthValue
 
 
-@dataclass(frozen=True)
-class CheckState:
-    """One intermediate monitor state: the live instance graph before cell
-    `index` and the cell's evaluations made so far, in firing order."""
-
-    index: int
-    graph: tuple[tuple[int, int, EvalMode, tuple], ...]
-    evaluations: tuple[tuple[int, int, TruthValue], ...]
-    tokens: tuple[str, ...]
-    terminal: Verdict | None = None
-
-    def render(self) -> str:
-        if self.terminal is not None:
-            return str(self.terminal)
-        return ", ".join(self.tokens)
+def _unfolding(op: type, system: RuleSystem, fid: int, cell: int) -> JLeaf:
+    """The leaf `op f` at `cell` for subformula `fid`, its text composed from f's."""
+    g = op(system.index.formulas[fid])
+    return JLeaf(g, cell, _compose(g, [system.index.text(fid)]))
 
 
-def map_state(system: RuleSystem, state: CheckState) -> Judgement:
-    """The judgement a monitor state stands for, read off the root instance
-    through the operand instances each live instance holds."""
-    if state.terminal is not None:
-        return TOP if state.terminal is Verdict.SUCCESS else BOTTOM
-    n = state.index
-    graph = {(fid, epoch): (mode, ops) for fid, epoch, mode, ops in state.graph}
-    values = {(fid, epoch): value for fid, epoch, value in state.evaluations}
+def map_state(
+    system: RuleSystem,
+    cell: int,
+    graph: tuple[tuple[int, int, EvalMode, tuple], ...],
+    values: dict[tuple[int, int], TruthValue],
+) -> Judgement:
+    """The judgement the monitor state before cell `cell` stands for: the
+    live instance graph `graph`, as `Monitor.instances()` gives it, with
+    `values`, the values fired so far this cell by (fid, epoch).  Each
+    instance is mapped once, after its operands; the root's judgement is the
+    state's."""
     index = system.index
-
-    def unfolding(op: type, fid: int) -> JLeaf:
-        """The leaf `op f` at this cell for subformula `fid`, its text composed from f's."""
-        g = op(index.formulas[fid])
-        return JLeaf(g, n, _compose(g, [index.text(fid)]))
-
-    def mapx(x) -> Judgement:
-        value = x if isinstance(x, TruthValue) else values.get(x)
+    nodes = system.nodes
+    mapped: dict[tuple[int, int], Judgement] = {}
+    for fid, epoch, mode, ops in graph:
+        value = values.get((fid, epoch))
+        kind = nodes[fid].kind
         if value is not None and value.kind != "?":
-            return TOP if value.kind == "T" else BOTTOM
-        fid = x[0]
-        mode, ops = graph[x]
-        kind = system.nodes[fid].kind
-        formula = index.formulas[fid]
-        if kind in ("next", "weaknext"):
+            judgement = TOP if value.kind == "T" else BOTTOM
+        elif kind in ("true", "atom", "negatom") or (kind in ("next", "weaknext") and mode is not EvalMode.M):
             # mirroring is a property of the activation, not of the ?M value
-            return mapx(ops[0]) if mode is EvalMode.M else JLeaf(formula, n, index.text(fid))
-        if kind in ("true", "atom", "negatom"):
-            return JLeaf(formula, n, index.text(fid))
-        subs = [mapx(op) for op in ops]
-        if kind == "eventually":
-            return reduce(JOr, subs + [unfolding(Next, fid)])
-        if kind == "always":
-            return reduce(JAnd, subs + [unfolding(WeakNext, fid)])
-        if value is not None:
-            mode = value.mode
-        if kind != "until":
-            if mode is EvalMode.L:
-                return subs[0]
-            if mode is EvalMode.R:
-                return subs[-1]
-            return JOr(subs[0], subs[1]) if kind == "or" else JAnd(subs[0], subs[1])
-        # until over its (operand one, operand two) pairs, oldest first: a
-        # witness at pair j needs operand one at every earlier pair, and the
-        # unfolding term stands for witnesses after this cell
-        terms = [reduce(JAnd, [r] + subs[0 : 2 * j : 2]) for j, r in enumerate(subs[1::2])]
-        if value is not None and mode is EvalMode.B:  # operand two failed this cell
-            terms.pop()
-        if mode is not EvalMode.L and mode is not EvalMode.R:  # else no later cell can witness it
-            terms.append(reduce(JAnd, subs[0::2] + [unfolding(Next, fid)]))
-        return reduce(JOr, terms)
-
-    return mapx(next((fid, epoch) for fid, epoch, _, _ in state.graph if fid == system.root))
+            judgement = JLeaf(index.formulas[fid], cell, index.text(fid))
+        else:
+            subs = [(TOP if op.kind == "T" else BOTTOM) if isinstance(op, TruthValue) else mapped[op] for op in ops]
+            if value is not None:
+                mode = value.mode
+            if kind in ("next", "weaknext"):
+                judgement = subs[0]
+            elif kind == "eventually":
+                judgement = reduce(JOr, subs + [_unfolding(Next, system, fid, cell)])
+            elif kind == "always":
+                judgement = reduce(JAnd, subs + [_unfolding(WeakNext, system, fid, cell)])
+            elif kind != "until":
+                if mode is EvalMode.L:
+                    judgement = subs[0]
+                elif mode is EvalMode.R:
+                    judgement = subs[-1]
+                else:
+                    judgement = JOr(subs[0], subs[1]) if kind == "or" else JAnd(subs[0], subs[1])
+            else:
+                # until over its (operand one, operand two) pairs, oldest
+                # first: a witness at pair j needs operand one at every
+                # earlier pair, and the unfolding term stands for witnesses
+                # after this cell
+                terms = [reduce(JAnd, [r] + subs[0 : 2 * j : 2]) for j, r in enumerate(subs[1::2])]
+                if value is not None and mode is EvalMode.B:  # operand two failed this cell
+                    terms.pop()
+                if mode is not EvalMode.L and mode is not EvalMode.R:  # else no later cell can witness it
+                    terms.append(reduce(JAnd, subs[0::2] + [_unfolding(Next, system, fid, cell)]))
+                judgement = reduce(JOr, terms)
+        mapped[fid, epoch] = judgement
+    return mapped[system.root, 0]
 
 
 @dataclass(frozen=True)
@@ -127,7 +120,8 @@ class CheckReport:
 
 def check_run(f: Formula, u: Trace) -> CheckReport:
     """Run the monitor over the trace, map every intermediate state to a
-    judgement, and require a constant judgement value equal to the verdict.
+    judgement as the monitor reaches it, and require a constant judgement
+    value equal to the verdict.
 
     The states are the base state, then per cell the state with the cell's
     observations added, one state per evaluation, and the reactivated state
@@ -135,37 +129,36 @@ def check_run(f: Formula, u: Trace) -> CheckReport:
     raises `NnfError`, from `compile_formula`."""
     system = compile_formula(f)
     monitor = Monitor(system)
+    steps: list[CheckStep] = []
+
+    def record(cell: int, state: str, judgement: Judgement) -> None:
+        steps.append(CheckStep(len(steps), cell, state, str(judgement), eval_judgement(judgement, u)))
+
     graph = monitor.instances()
-    states = [CheckState(0, graph, (), tuple(_rule_tokens(system, monitor.active())))]
+    record(0, ", ".join(_rule_tokens(system, monitor.active())), map_state(system, 0, graph, {}))
     last = len(u) - 1
     for i, cell in enumerate(u.cells):
         outcome = monitor.step(cell, is_last=(i == last))
-        tokens = tuple(_rule_tokens(system, outcome.state_before)) + outcome.observations
+        state = ", ".join(_rule_tokens(system, outcome.state_before) + list(outcome.observations))
+        values: dict[tuple[int, int], TruthValue] = {}
+        record(i, state, map_state(system, i, graph, values))
         evaluations = outcome.evaluations
-        eval_tokens = tuple(_eval_tokens(system, evaluations))
-        for k in range(len(evaluations) + 1):
-            states.append(CheckState(i, graph, evaluations[:k], tokens + eval_tokens[:k]))
+        for (fid, epoch, value), token in zip(evaluations, _eval_tokens(system, evaluations)):
+            values[fid, epoch] = value
+            state += ", " + token
+            record(i, state, map_state(system, i, graph, values))
         if monitor.finished:
-            states.append(CheckState(i, (), (), (), terminal=monitor.verdict))
+            record(i, str(monitor.verdict), TOP if monitor.verdict is Verdict.SUCCESS else BOTTOM)
             break
         graph = monitor.instances()
-        states.append(CheckState(i + 1, graph, (), tuple(_rule_tokens(system, outcome.state_after))))
+        record(i + 1, ", ".join(_rule_tokens(system, outcome.state_after)), map_state(system, i + 1, graph, {}))
     expected = monitor.verdict is Verdict.SUCCESS
-
-    steps: list[CheckStep] = []
-    violation_at = None
-    for number, state in enumerate(states):
-        judgement = map_state(system, state)
-        value = eval_judgement(judgement, u)
-        steps.append(CheckStep(number, state.index, state.render(), str(judgement), value))
-        if value != expected and violation_at is None:
-            violation_at = number
     return CheckReport(
         formula=system.index.text(system.root),
         trace=format_trace_inline(u),
         verdict=monitor.verdict,
         steps=steps,
-        violation_at=violation_at,
+        violation_at=next((step.number for step in steps if step.value != expected), None),
         # always None, as every run is mapped in full; kept because the bench
         # harness (bench/workloads.py, bench/tracing.py) and criterion 8 read it
         skipped_from=None,
