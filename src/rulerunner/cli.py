@@ -85,16 +85,15 @@ def cmd_stream(args) -> int:
     Each cell read gets one output line, `?` while undecided, written and
     flushed before the next input line is read; the verdict line is the last.
 
-    The monitor walks a `CachedMonitor` and keeps the state before the
-    latest cell, so the end verdict is that state's transition on the
-    latest cell with the end-of-trace marker: one step, no replay.
-
-    Each line text is read into its letter, the cell intersected with the
-    formula's atoms, and `cell_parser` keeps it in `letters` within the
-    memo's bounds; a line met before whose transition is known costs a
-    lookup there and one in the state's `next` table (read as `_Node`'s
-    docstring allows), with no call."""
+    The monitor walks a `CachedMonitor` and keeps the state (a monitor it
+    never steps) before the latest cell, so the end verdict is that state's
+    transition on the latest cell with the end-of-trace marker: one step,
+    no replay.  Each line text is read into its letter, the cell intersected
+    with the formula's atoms, and `cell_parser` keeps it in `letters` within
+    the memo's bounds; a line met before whose transition is known costs a
+    lookup there and one in `cache.table`, with no call."""
     cache = CachedMonitor(compile_formula(_parse_nnf(args.formula)))
+    table = cache.table
     state = before = cache.initial
     last: frozenset[str] = frozenset()
     letters: dict[str, frozenset[str]] = {}
@@ -114,7 +113,7 @@ def cmd_stream(args) -> int:
                     print(f"skipped malformed cell: line {lineno}: {exc}", file=sys.stderr)
                 continue
         before, last = state, letter
-        state = state.next.get(letter) or cache.next(state, letter)
+        state = table[letter].get(state) or cache.next(state, letter)
         if state.__class__ is Verdict:
             break
         write("?\n")

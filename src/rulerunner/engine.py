@@ -45,16 +45,17 @@ returns the verdict `advance` would, firing without pruning and settling
 nothing, so the state stays as it was.  Since the live state is bounded
 and folded, a formula's monitor has few distinct states: `CachedMonitor`
 builds the finite automaton over them lazily, one transition per (state,
-letter), and steps by table lookup after that.  A transition that decides
-is read off the state's representative monitor by a peek; only one to an
-undecided state clones the representative and advances the clone.  It
-keeps at most `NODE_CAP` states; one found past the cap is handed out
-without being kept.
+letter), and steps by table lookup after that.  A state is its
+representative monitor, which the cache only peeks at and clones: a
+transition that decides is read off it by a peek, and only one to an
+undecided state clones it and advances the clone.  It keeps at most
+`NODE_CAP` states; one found past the cap is handed out without being kept.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -519,70 +520,55 @@ def _state_key(monitor: Monitor) -> tuple:
     return tuple(key)
 
 
-class _Node:
-    """One state of the cached automaton: a representative monitor in it,
-    which is only ever peeked at and cloned, never advanced, and the
-    transitions found so far.  A kept node's `next` holds only kept nodes
-    and verdicts.
-
-    `next` is public to a caller that holds letters (cells already
-    intersected with `CachedMonitor.atoms`): it may read a known transition
-    there and call `CachedMonitor.next` only on a miss, as `cli.cmd_stream`
-    does, so a change to this table's keys or values must update it too."""
-
-    __slots__ = ("monitor", "next", "end")
-
-    def __init__(self, monitor: Monitor):
-        self.monitor = monitor
-        self.next: dict[frozenset[str], _Node | Verdict] = {}  # letter -> state after it, or the verdict
-        self.end: dict[frozenset[str], Verdict] = {}  # letter -> verdict of a trace ending on it
-
-
 class CachedMonitor:
     """Verdict-only monitor over a finite automaton built lazily from the
     rule monitor (Bauer, Leucker & Schallhart, TOSEM 2011).
 
-    A state is a canonical monitor state (see `_state_key`); a letter is a
-    cell intersected with the formula's atoms.  A transition not yet known
-    is found by peeking at the state's representative monitor, and only when
-    that leaves it undecided by cloning it and advancing the clone one cell,
-    so every verdict comes from the rule monitor itself and a transition
-    that decides costs no clone.  Past `NODE_CAP` states, a new state is
-    handed out without being kept, and a kept state records a transition
-    only to a kept state or a verdict, so memory stays bounded; a walk
-    through unkept states goes back onto the kept ones as soon as it
-    reaches one of them.  States are immutable: `next` and `end` never
-    change the state they are given, so a caller may keep an earlier one.
-    A peek writes scratch values into the
-    representative, so a `CachedMonitor` serves one thread at a time.
+    A state is its representative monitor, in a canonical state (see
+    `_state_key`), which the cache only peeks at and clones and never
+    advances; a caller must not step it either.  A letter is a cell
+    intersected with the formula's atoms.  A transition not yet known is
+    found by peeking at the state, and only when that leaves it undecided by
+    cloning it and advancing the clone one cell, so every verdict comes from
+    the rule monitor itself and a transition that decides costs no clone.
+    Past `NODE_CAP` states, a new state is handed out without being kept,
+    and transitions are recorded only from a kept state, to a kept state or
+    a verdict, so memory stays bounded; a walk through unkept states goes
+    back onto the kept ones as soon as it reaches one of them.  `next` and
+    `end` never change the state they are given, so a caller may keep an
+    earlier one.  A peek writes scratch values into the state, so a
+    `CachedMonitor` serves one thread at a time.  No state refers to
+    another, so a dropped cache is freed by reference counting.
 
     `atoms` is the formula's atom set, which every letter is a subset of.
-    A caller that holds a letter may read a state's `next` table itself and
-    call `next` only for a letter it does not hold, as `stream` does."""
+    `table[letter][state]` is a kept state's known transition on the letter:
+    the state after it, or the verdict reached there.  It is the one
+    documented fast-path read: a caller that holds letters may read it and
+    call `next` on a miss, as `stream` does; `next` then drops the empty row
+    such a read makes for a new letter."""
 
     def __init__(self, system: RuleSystem):
         self.atoms = frozenset(node.atom for node in system.nodes if node.atom is not None)
-        first = Monitor(system)
-        self.initial = _Node(first)
-        self._nodes = {_state_key(first): self.initial}
+        self.initial = Monitor(system)
+        self.table: dict[frozenset[str], dict[Monitor, Monitor | Verdict]] = defaultdict(dict)
+        self._ends: dict[frozenset[str], dict[Monitor, Verdict]] = defaultdict(dict)  # verdict of a trace ending on the letter
+        self._states = {_state_key(self.initial): self.initial}  # the kept states by key
+        self._kept = {self.initial}
 
     def __len__(self) -> int:
         """The number of states kept so far."""
-        return len(self._nodes)
+        return len(self._kept)
 
-    def next(self, state: _Node, cell) -> _Node | Verdict:
+    def next(self, state: Monitor, cell) -> Monitor | Verdict:
         """The state after `cell` when more cells follow, or the verdict
         reached there."""
         letter = self.atoms.intersection(cell)
-        return state.next.get(letter) or self._miss(state, letter)
+        return self.table[letter].get(state) or self._miss(state, letter)
 
-    def end(self, state: _Node, cell) -> Verdict:
+    def end(self, state: Monitor, cell) -> Verdict:
         """The verdict of a trace that ends with `cell` after `state`."""
         letter = self.atoms.intersection(cell)
-        verdict = state.end.get(letter)
-        if verdict is None:
-            verdict = state.end[letter] = state.monitor.peek(letter, is_last=True)
-        return verdict
+        return self._ends[letter].get(state) or self._end(state, letter)
 
     def run(self, cells) -> tuple[Verdict, int]:
         """Verdict and deciding cell of a whole trace, as `run_trace` gives them."""
@@ -590,33 +576,41 @@ class CachedMonitor:
             raise MonitorError("cannot monitor an empty trace")
         last = len(cells) - 1
         atoms = self.atoms
+        table = self.table
         state = self.initial
         for i in range(last):  # `next`, inlined
             letter = atoms.intersection(cells[i])
-            state = state.next.get(letter) or self._miss(state, letter)
+            state = table[letter].get(state) or self._miss(state, letter)
             if state.__class__ is Verdict:
                 return state, i
         letter = atoms.intersection(cells[last])  # `end`, inlined
-        verdict = state.end.get(letter)
-        if verdict is None:
-            verdict = state.end[letter] = state.monitor.peek(letter, is_last=True)
-        return verdict, last
+        return self._ends[letter].get(state) or self._end(state, letter), last
 
-    def _miss(self, node: _Node, letter: frozenset[str]) -> _Node | Verdict:
-        verdict = node.monitor.peek(letter)
-        if verdict is not _UNDECIDED:
-            node.next[letter] = verdict
-            return verdict
-        monitor = node.monitor.clone()
-        monitor.advance(letter)
-        key = _state_key(monitor)
-        target = self._nodes.get(key)
-        if target is None:
-            if len(self._nodes) >= NODE_CAP:
-                return _Node(monitor)
-            target = self._nodes[key] = _Node(monitor)
-        node.next[letter] = target
+    def _miss(self, state: Monitor, letter: frozenset[str]) -> Monitor | Verdict:
+        if not self.table[letter]:  # the read that missed made it: keep rows with entries only, so
+            del self.table[letter]  # a walk through unkept states leaves no rows behind
+        target = state.peek(letter)
+        if target is _UNDECIDED:
+            monitor = state.clone()
+            monitor.advance(letter)
+            key = _state_key(monitor)
+            target = self._states.get(key)
+            if target is None:
+                if len(self._kept) >= NODE_CAP:
+                    return monitor
+                target = self._states[key] = monitor
+                self._kept.add(monitor)
+        if state in self._kept:
+            self.table[letter][state] = target
         return target
+
+    def _end(self, state: Monitor, letter: frozenset[str]) -> Verdict:
+        if not self._ends[letter]:  # as in `_miss`
+            del self._ends[letter]
+        verdict = state.peek(letter, is_last=True)
+        if state in self._kept:
+            self._ends[letter][state] = verdict
+        return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,7 @@ def eval_judgement(j: Judgement, u: Trace) -> bool:
 
 _UNARY_CTORS = (Next, WeakNext, Eventually, Always)
 _BINARY_CTORS = (Or, And, Until)
+RANDOM_FORMULA_NODES = 2_000  # nodes one `random_formula` call draws above depth 0; past them, leaves only
 
 
 def leaf_formulas(atoms: list[str]) -> list[Formula]:
@@ -222,14 +223,17 @@ def random_formula(
     seed: int | random.Random,
     operators: tuple[type, ...] = _UNARY_CTORS + _BINARY_CTORS,
 ) -> Formula:
-    """Seeded random NNF formula with operator nesting depth <= max_depth."""
+    """Seeded random NNF formula with operator nesting depth <= max_depth;
+    past `RANDOM_FORMULA_NODES` drawn nodes each is a leaf, so a deep one
+    stays cheap."""
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     leaves = leaf_formulas(atoms)
+    budget = iter(range(RANDOM_FORMULA_NODES))
 
     def gen(depth: int) -> Formula:
-        if depth == 0 or rng.random() < 0.2:
+        if depth == 0 or next(budget, None) is None or rng.random() < 0.2:
             return rng.choice(leaves)
         ctor = rng.choice(operators)
         if issubclass(ctor, Binary):

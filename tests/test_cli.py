@@ -488,6 +488,12 @@ class TestDiff:
         assert main(["diff", "--max-depth", "30", "--limit", "2", "--traces", "2"]) == 0
         assert "mismatches: 0" in capsys.readouterr().out
 
+    def test_deep_sample_stays_within_the_node_budget(self, capsys):
+        """At depth 500 a sampled formula would have about 1.14^500 nodes;
+        `random_formula`'s node budget keeps it small."""
+        assert main(["diff", "--max-depth", "500", "--limit", "2", "--traces", "2", "--max-length", "2"]) == 0
+        assert "mismatches: 0" in capsys.readouterr().out
+
     @pytest.mark.parametrize("atoms", ["A,b", ",", "END", "a,a", "a,b,a", "true", "a,true"])
     def test_invalid_alphabet_rejected(self, capsys, atoms):
         assert main(["diff", "--max-depth", "1", "--traces", "2", "--atoms", atoms]) == 2

@@ -1,4 +1,7 @@
+import argparse
+import gc
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -6,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from rulerunner import engine
+from rulerunner import cli, engine
 from rulerunner import (
     CachedMonitor,
     EvalMode,
@@ -599,9 +602,10 @@ class TestCachedMonitor:
                         break
                     handed_out.add(state)
             beyond += len(handed_out) > cap
-            kept = set(cache._nodes.values())
-            for node in kept:  # no kept state leads to an unkept one
-                assert all(target in kept or isinstance(target, Verdict) for target in node.next.values())
+            kept = cache._kept
+            for row in cache.table.values():  # no kept state leads to an unkept one
+                assert all(state in kept for state in row)
+                assert all(target in kept or isinstance(target, Verdict) for target in row.values())
         assert beyond > 20  # walks went past the cap
 
     def test_walk_past_the_cap_reenters_kept_states(self, monkeypatch):
@@ -610,23 +614,33 @@ class TestCachedMonitor:
         assert cache.next(cache.next(cache.initial, set()), {"a", "b"}) is cache.initial
         assert len(cache) == 1
 
+    def test_unkept_states_add_no_rows(self, monkeypatch):
+        """A walk through states past the cap records nothing, not even an
+        empty row for a letter it reads."""
+        monkeypatch.setattr(engine, "NODE_CAP", 1)
+        cache = CachedMonitor(system_for("G (a | X b)"))
+        after = cache.next(cache.initial, set())
+        assert cache.next(after, {"a"}) is Verdict.FAILURE
+        assert cache.end(after, {"a", "b"}) is Verdict.SUCCESS
+        assert cache.table == {} and cache._ends == {}
+
     def test_states_are_never_stepped(self):
         """`next` and `end` leave the state they are given as it was."""
         cache = CachedMonitor(system_for("G (a | X b)"))
         state = cache.initial
-        view = state.monitor.instances()
+        view = state.instances()
         assert cache.end(state, {"a"}) is Verdict.SUCCESS
         assert cache.end(state, set()) is Verdict.FAILURE
         after = cache.next(state, set())
         assert cache.end(after, set()) is Verdict.FAILURE
         assert cache.next(after, set()) is Verdict.FAILURE
         assert cache.next(after, {"a", "b"}) is state
-        assert state.monitor.instances() == view
+        assert state.instances() == view
         assert len(cache) == 2
 
     def test_clones_only_for_a_transition_to_a_state(self, monkeypatch):
         """A cold cache clones once per transition to a state, the
-        non-verdict entries of its kept states' `next`, and `end` over every
+        non-verdict entries of its transition `table`, and `end` over every
         kept state and letter clones nothing and answers as an advanced
         clone does."""
         clones = []
@@ -641,13 +655,43 @@ class TestCachedMonitor:
                 _, cells = random_run(rng, 0, rng.randint(1, 12), "abc")
                 cache.run(cells)
             assert len(cache) < engine.NODE_CAP
-            kept = cache._nodes.values()
-            assert len(clones) == sum(not isinstance(t, Verdict) for node in kept for t in node.next.values()), f
+            kept = cache._kept
+            targets = [t for row in cache.table.values() for t in row.values()]
+            assert len(clones) == sum(not isinstance(t, Verdict) for t in targets), f
             del clones[:]
-            ends = {(node, letter): cache.end(node, letter) for node in kept for letter in letters_of(system)}
+            ends = {(state, letter): cache.end(state, letter) for state in kept for letter in letters_of(system)}
             assert clones == []
-            for (node, letter), verdict in ends.items():
-                assert verdict is clone(node.monitor).advance(letter, is_last=True)
+            for (state, letter), verdict in ends.items():
+                assert verdict is clone(state).advance(letter, is_last=True)
+
+    def test_no_cyclic_garbage(self, monkeypatch):
+        """The differential, a cache walk and `stream` build no reference
+        cycle, so whatever they drop is freed by reference counting and the
+        cyclic collector finds nothing.  `cmd_stream` is called directly, as
+        `main`'s argument parser is itself cyclic garbage."""
+        formulas = [to_nnf(parse_formula(t)) for t in ("(!b & b) | (!a U !b)", "G F X a", "(X a) U b", "G (!a | F b)")]
+        traces = [parse_trace_inline(t) for t in ("[a]", "[. - b]", "[a - a - b]", "[b - a - . - a]")]
+        monkeypatch.setattr("sys.stdin", io.StringIO("a\n9bad\n# note\n.\nb\na,b\n$end\n"))
+        monkeypatch.setattr("sys.stdout", io.StringIO())
+        flags = gc.get_debug()
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert cli.run_differential(formulas, traces) == (16, [])
+            cache = CachedMonitor(system_for("G (a | X b)"))
+            state = cache.initial
+            for cell in ({"a"}, set(), {"a", "b"}, {"a"}):
+                cache.end(state, cell)
+                state = cache.next(state, cell)
+            del cache, state
+            assert cli.cmd_stream(argparse.Namespace(formula="G (!a | F b)")) == 0
+            gc.collect()
+            garbage = sorted({type(obj).__name__ for obj in gc.garbage})
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert garbage == []
 
     def test_rule_system_holds_no_cache(self):
         system = system_for("G F X a")
