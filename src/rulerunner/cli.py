@@ -8,6 +8,7 @@ differential mismatches.
 from __future__ import annotations
 
 import argparse
+import codecs
 import random
 import sys
 
@@ -91,7 +92,8 @@ def cmd_stream(args) -> int:
     no replay.  Each line text is read into its letter, the cell intersected
     with the formula's atoms, and `cell_parser` keeps it in `letters` within
     the memo's bounds; a line met before whose transition is known costs a
-    lookup there and one in `cache.table`, with no call."""
+    lookup there, `table.get(letter)` and one in the row, with no call.  A
+    UTF-8 input may open with a byte-order mark, which is dropped."""
     cache = CachedMonitor(compile_formula(_parse_nnf(args.formula)))
     table = cache.table
     state = before = cache.initial
@@ -100,7 +102,8 @@ def cmd_stream(args) -> int:
     parse = cell_parser(cache.atoms, letters)
     write, flush = sys.stdout.write, sys.stdout.flush
     if hasattr(sys.stdin, "reconfigure"):  # a line that is not UTF-8 is a malformed cell, not a crash
-        sys.stdin.reconfigure(errors="surrogateescape")
+        utf8 = codecs.lookup(sys.stdin.encoding).name == "utf-8"
+        sys.stdin.reconfigure(encoding="utf-8-sig" if utf8 else None, errors="surrogateescape")
     for lineno, line in enumerate(sys.stdin, start=1):
         letter = letters.get(line)
         if letter is None:
@@ -113,7 +116,8 @@ def cmd_stream(args) -> int:
                     print(f"skipped malformed cell: line {lineno}: {exc}", file=sys.stderr)
                 continue
         before, last = state, letter
-        state = table[letter].get(state) or cache.next(state, letter)
+        row = table.get(letter)
+        state = row and row.get(state) or cache.next(state, letter)
         if state.__class__ is Verdict:
             break
         write("?\n")

@@ -55,7 +55,6 @@ undecided state clones it and advances the clone.  It keeps at most
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -542,16 +541,17 @@ class CachedMonitor:
 
     `atoms` is the formula's atom set, which every letter is a subset of.
     `table[letter][state]` is a kept state's known transition on the letter:
-    the state after it, or the verdict reached there.  It is the one
-    documented fast-path read: a caller that holds letters may read it and
-    call `next` on a miss, as `stream` does; `next` then drops the empty row
-    such a read makes for a new letter."""
+    the state after it, or the verdict reached there.  A row exists only for
+    a letter with a recorded transition, and only `_miss` writes one, end
+    transitions into a private table of the same shape.  `table.get(letter)`
+    and then the row is the one documented fast-path read: a caller that
+    holds letters may read it and call `next` on a miss, as `stream` does."""
 
     def __init__(self, system: RuleSystem):
         self.atoms = frozenset(node.atom for node in system.nodes if node.atom is not None)
         self.initial = Monitor(system)
-        self.table: dict[frozenset[str], dict[Monitor, Monitor | Verdict]] = defaultdict(dict)
-        self._ends: dict[frozenset[str], dict[Monitor, Verdict]] = defaultdict(dict)  # verdict of a trace ending on the letter
+        self.table: dict[frozenset[str], dict[Monitor, Monitor | Verdict]] = {}
+        self._ends: dict[frozenset[str], dict[Monitor, Verdict]] = {}  # verdict of a trace ending on the letter
         self._states = {_state_key(self.initial): self.initial}  # the kept states by key
         self._kept = {self.initial}
 
@@ -563,12 +563,14 @@ class CachedMonitor:
         """The state after `cell` when more cells follow, or the verdict
         reached there."""
         letter = self.atoms.intersection(cell)
-        return self.table[letter].get(state) or self._miss(state, letter)
+        row = self.table.get(letter)
+        return row and row.get(state) or self._miss(state, letter)
 
     def end(self, state: Monitor, cell) -> Verdict:
         """The verdict of a trace that ends with `cell` after `state`."""
         letter = self.atoms.intersection(cell)
-        return self._ends[letter].get(state) or self._end(state, letter)
+        row = self._ends.get(letter)
+        return row and row.get(state) or self._miss(state, letter, True)
 
     def run(self, cells) -> tuple[Verdict, int]:
         """Verdict and deciding cell of a whole trace, as `run_trace` gives them."""
@@ -580,17 +582,17 @@ class CachedMonitor:
         state = self.initial
         for i in range(last):  # `next`, inlined
             letter = atoms.intersection(cells[i])
-            state = table[letter].get(state) or self._miss(state, letter)
+            row = table.get(letter)
+            state = row and row.get(state) or self._miss(state, letter)
             if state.__class__ is Verdict:
                 return state, i
         letter = atoms.intersection(cells[last])  # `end`, inlined
-        return self._ends[letter].get(state) or self._end(state, letter), last
+        row = self._ends.get(letter)
+        return row and row.get(state) or self._miss(state, letter, True), last
 
-    def _miss(self, state: Monitor, letter: frozenset[str]) -> Monitor | Verdict:
-        if not self.table[letter]:  # the read that missed made it: keep rows with entries only, so
-            del self.table[letter]  # a walk through unkept states leaves no rows behind
-        target = state.peek(letter)
-        if target is _UNDECIDED:
+    def _miss(self, state: Monitor, letter: frozenset[str], is_last: bool = False) -> Monitor | Verdict:
+        target = state.peek(letter, is_last)
+        if target is _UNDECIDED:  # a peek at the last cell always decides
             monitor = state.clone()
             monitor.advance(letter)
             key = _state_key(monitor)
@@ -601,16 +603,8 @@ class CachedMonitor:
                 target = self._states[key] = monitor
                 self._kept.add(monitor)
         if state in self._kept:
-            self.table[letter][state] = target
+            (self._ends if is_last else self.table).setdefault(letter, {})[state] = target
         return target
-
-    def _end(self, state: Monitor, letter: frozenset[str]) -> Verdict:
-        if not self._ends[letter]:  # as in `_miss`
-            del self._ends[letter]
-        verdict = state.peek(letter, is_last=True)
-        if state in self._kept:
-            self._ends[letter][state] = verdict
-        return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -133,8 +133,9 @@ def format_trace_inline(t: Trace) -> str:
 
 
 def read_trace_file(path: str) -> Trace:
-    """One cell per line; ``#`` lines are comments, blank lines empty cells."""
-    with open(path, encoding="utf-8") as fh:
+    """One cell per line; ``#`` lines are comments, blank lines empty cells,
+    and a leading byte-order mark is dropped."""
+    with open(path, encoding="utf-8-sig") as fh:
         lines = fh.read().split("\n")
     if lines[-1] == "":
         lines.pop()  # trailing newline does not open a cell

@@ -89,6 +89,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not UTF-8" in err
 
+    @pytest.mark.parametrize("text", ["a\nb\n", "# note\na\nb\n"], ids=["cell", "comment"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, text):
+        """A trace file that opens with a UTF-8 byte-order mark, as Windows
+        editors write it, reads as the same file without the mark."""
+        p = tmp_path / "bom.trace"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert main(["run", "a U b", "--trace-file", str(p)]) == 0
+        assert capsys.readouterr().out == "SUCCESS at cell 1\n"
+
     def test_bad_trace_exits_2(self, capsys):
         assert main(["run", "a", "--trace", "[a - END]"]) == 2
 
@@ -176,6 +185,15 @@ class TestStream:
         assert captured.out == "?\n?\nSUCCESS\n"
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("skipped malformed cell: line 2: ")
+
+    def test_byte_order_mark_is_ignored(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbfa\nb\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code = main(["stream", "a U b"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "?\nSUCCESS\n"
+        assert captured.err == ""
 
     @pytest.mark.parametrize("formula, verdict, exit_code", [("G a", "FAILURE", 1), ("W a", "SUCCESS", 0)])
     def test_empty_input_is_one_empty_cell(self, capsys, monkeypatch, formula, verdict, exit_code):

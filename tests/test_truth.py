@@ -2,6 +2,10 @@ import itertools
 
 import pytest
 
+from rulerunner import Trace, Verdict, compile_formula, engine, truth
+from rulerunner.engine import run_trace
+from rulerunner.ltl import format_formula, parse_formula, to_nnf
+from rulerunner.oracle import enumerate_formulas, oracle_eval
 from rulerunner.truth import (
     AND_B,
     FALSE,
@@ -177,3 +181,106 @@ def test_strengthening():
                     refined = eval_binary(op, mode, l2, r2)
                     assert not (base.is_true() and refined.is_false())
                     assert not (base.is_false() and refined.is_true())
+
+
+# -- every table entry the engine reads matters (mutation analysis) ----------
+
+# An entry is named by its table's name in `truth`; the side-mode tables that
+# or, and and until share are one table, so one set of entries.
+_NAMES = {id(table): name for name, table in vars(truth).items() if isinstance(table, dict)}
+_ENTRIES = {(_NAMES[id(table)], key) for tables in truth.TABLES.values() for table in tables.values() for key in table}
+
+# Built for coverage, not sampled: the depth-1 formulae over a, b, then every
+# operator over a leaf, `true` and one formula of each temporal operator (an
+# always reads `("?",)` only over an operand that stays undecided for a cell).
+_OPERANDS = ["a", "!b", "true", "F a", "G b", "X a", "W b", "a U b"]
+_CORPUS = (
+    [format_formula(f) for f in enumerate_formulas(1, ["a", "b"])]
+    + [f"{op} ({x})" for op in ("F", "G", "X", "W") for x in _OPERANDS]
+    + [f"({x}) {op} ({y})" for op in ("&", "|", "U") for x in _OPERANDS for y in _OPERANDS]
+)
+_LETTERS = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
+_TRACES = [Trace(cells) for n in (1, 2, 3) for cells in itertools.product(_LETTERS, repeat=n)]
+
+
+# Mutants no trace can tell apart: a mode-B and/or over an operand already
+# decided reads it as the side mode would, since a decided operand keeps its
+# value, so these change the mode annotation and nothing the monitor reports.
+_EQUIVALENT = [
+    "AND_B[('?', 'T')] = ?B",
+    "AND_B[('T', '?')] = ?B",
+    "OR_B[('?', 'F')] = ?B",
+    "OR_B[('F', '?')] = ?B",
+]
+
+
+class _RecordingTable(dict):
+    """A copy of a `truth` table that notes each entry read."""
+
+    def __init__(self, table: dict, reads: set):
+        super().__init__(table)
+        self.name, self.reads = _NAMES[id(table)], reads
+
+    def __getitem__(self, key):
+        self.reads.add((self.name, key))
+        return dict.__getitem__(self, key)
+
+
+def _killed(formula, system, trace, cell: int) -> bool:
+    """The monitor gives a verdict unlike the reference semantics, decides
+    at another cell than `cell`, leaves the trace undecided, or raises (an
+    and/or left undecided at the last cell has no `END` value)."""
+    try:
+        result = run_trace(system, trace)
+    except Exception:
+        return True
+    verdict = result.verdict
+    if verdict is Verdict.UNDECIDED or result.deciding_cell != cell:
+        return True
+    return (verdict is Verdict.SUCCESS) != oracle_eval(formula, trace, 0)
+
+
+def test_every_table_entry_the_engine_reads_matters(monkeypatch):
+    """Record which `truth.TABLES` entries `Monitor` reads over the corpus and
+    every trace of 1-3 cells over {a, b}; only the 12 until entries go
+    unread, since `engine._decide_until` computes the until.  Then every
+    single-entry mutant of a read entry (each other value its table holds,
+    and T and F) but the pinned equivalent ones is killed by a pair that
+    reads the entry, and every flip of one `truth.END` value by some pair.
+    Eight of the killed mutants only delay a decided value, so only the
+    deciding cell, which the unmutated run gives, shows them.  The engine
+    reads both tables live, so a mutant is an in-place edit.  About 1 s on
+    a 2-core machine with Python 3.11."""
+    readers: dict[tuple, list] = {}
+    pairs = []
+    with monkeypatch.context() as m:
+        reads: set = set()
+        m.setattr(engine, "_TABLES", [tuple(_RecordingTable(t, reads) for t in ts) for ts in engine._TABLES])
+        for text in _CORPUS:
+            f = to_nnf(parse_formula(text))
+            system = compile_formula(f)
+            for u in _TRACES:
+                reads.clear()
+                pair = f, system, u, run_trace(system, u).deciding_cell
+                pairs.append(pair)
+                for entry in reads:
+                    readers.setdefault(entry, []).append(pair)
+    until = {("UNTIL_A", key) for key in truth.UNTIL_A} | {("UNTIL_B", key) for key in truth.UNTIL_B}
+    assert _ENTRIES - readers.keys() == until
+    assert len(readers) == 34
+
+    tables = {name: getattr(truth, name) for name, _ in readers}
+    survivors = []
+    for name, key in sorted(readers, key=str):
+        table = tables[name]
+        for value in sorted({*table.values(), TRUE, FALSE} - {table[key]}, key=str):
+            with monkeypatch.context() as m:
+                m.setitem(table, key, value)
+                if not any(_killed(*pair) for pair in readers[name, key]):
+                    survivors.append(f"{name}[{key}] = {value}")
+    for op, value in truth.END.items():
+        with monkeypatch.context() as m:
+            m.setitem(truth.END, op, FALSE if value == TRUE else TRUE)
+            if not any(_killed(*pair) for pair in pairs):
+                survivors.append(f"END[{op}] flipped")
+    assert survivors == _EQUIVALENT
