@@ -2,13 +2,16 @@
 
 Exit codes: 0 for a SUCCESS verdict (or a completed command), 1 for a
 FAILURE verdict, 2 for usage/parse errors, 3 for internal errors or
-differential mismatches.
+differential mismatches.  `main` may be called many times in one process:
+it builds its parser once and finds the `cmd_*` to run at each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import codecs
+import functools
+import io
 import random
 import sys
 
@@ -93,7 +96,8 @@ def cmd_stream(args) -> int:
     with the formula's atoms, and `cell_parser` keeps it in `letters` within
     the memo's bounds; a line met before whose transition is known costs a
     lookup there, `table.get(letter)` and one in the row, with no call.  A
-    UTF-8 input may open with a byte-order mark, which is dropped."""
+    UTF-8 input may open with a byte-order mark, which is dropped; a stdin
+    read before the call (by an earlier session, say) keeps its decoding."""
     cache = CachedMonitor(compile_formula(_parse_nnf(args.formula)))
     table = cache.table
     state = before = cache.initial
@@ -103,7 +107,11 @@ def cmd_stream(args) -> int:
     write, flush = sys.stdout.write, sys.stdout.flush
     if hasattr(sys.stdin, "reconfigure"):  # a line that is not UTF-8 is a malformed cell, not a crash
         utf8 = codecs.lookup(sys.stdin.encoding).name == "utf-8"
-        sys.stdin.reconfigure(encoding="utf-8-sig" if utf8 else None, errors="surrogateescape")
+        if utf8 or sys.stdin.errors != "surrogateescape":  # else an earlier session set it up
+            try:
+                sys.stdin.reconfigure(encoding="utf-8-sig" if utf8 else None, errors="surrogateescape")
+            except io.UnsupportedOperation:  # read from already: it keeps its decoding
+                pass
     for lineno, line in enumerate(sys.stdin, start=1):
         letter = letters.get(line)
         if letter is None:
@@ -245,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="print the rule system compiled from a formula")
     p.add_argument("formula")
     p.add_argument("--json", action="store_true", help="machine-readable listing")
-    p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("run", help="monitor a complete trace")
     p.add_argument("formula")
@@ -253,11 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--trace", help="inline trace, e.g. '[c - a - b,d - b]'")
     src.add_argument("--trace-file", help="trace file, one cell per line")
     p.add_argument("--explain", action="store_true", help="print the per-cell evolution")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("stream", help="monitor cells read from stdin; '$end' closes the trace")
     p.add_argument("formula")
-    p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("gen", help="generate seeded random traces")
     p.add_argument("--atoms", required=True, help="comma-separated alphabet")
@@ -265,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("diff", help="differential check of the engine against the reference semantics")
     p.add_argument("--max-depth", type=int, default=2)
@@ -274,15 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-length", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit", type=int, default=None, help="sample at most this many formulas")
-    p.set_defaults(func=cmd_diff)
     return parser
 
 
+_main_parser = functools.cache(build_parser)  # built by the first `main` call, then reused
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
+    # looked up per call, so a `cmd_*` rebound later (a monkeypatch, a tracer's wrapper) is the one run
+    command = {"compile": cmd_compile, "run": cmd_run, "stream": cmd_stream, "gen": cmd_gen, "diff": cmd_diff}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except (ParseError, NnfError, TraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -643,6 +643,55 @@ class TestUsageErrors:
         assert err.value.code == 2
 
 
+class TestRepeatedMain:
+    """`main` called many times in one process, as an embedding program or
+    an in-process benchmark calls it."""
+
+    def test_the_parser_is_built_once(self, capsys):
+        cli._main_parser.cache_clear()
+        for _ in range(3):
+            assert main(["run", "a", "--trace", "[a]"]) == 0
+        assert capsys.readouterr().out == "SUCCESS at cell 0\n" * 3
+        assert cli._main_parser.cache_info().misses == 1
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_a_command_rebound_after_the_first_call_is_the_one_run(self, capsys, monkeypatch):
+        assert main(["run", "a", "--trace", "[a]"]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_run", lambda args: seen.append(args.formula) or 7)
+        assert main(["run", "b", "--trace", "[a]"]) == 7
+        assert seen == ["b"]
+
+    @pytest.mark.parametrize("bad", [["bogus"], ["run", "a"], ["run", "a", "--trace", "[a]", "--trace-file", "t"]])
+    def test_a_usage_error_leaves_the_next_call_as_it_would_be_alone(self, capsys, bad):
+        good = ["run", "a | F b", "--trace", "[c - a - b,d - b]", "--explain"]
+        assert main(good) == 0
+        alone = capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(bad)
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert main(good) == 0
+        assert capsys.readouterr() == alone
+
+    def test_two_stream_sessions_read_one_stdin(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbfa\n$end\n\xff\na\n$end\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert [main(["stream", "G a"]), main(["stream", "G a"])] == [0, 0]
+        captured = capsys.readouterr()
+        assert captured.out == "?\nSUCCESS\n?\nSUCCESS\n"
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("skipped malformed cell: line 1: ")
+
+    def test_a_stdin_read_before_the_session_keeps_its_decoding(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"header\na\n$end\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert stdin.readline() == "header\n"
+        assert main(["stream", "G a"]) == 0
+        assert capsys.readouterr() == ("?\nSUCCESS\n", "")
+        assert (stdin.encoding, stdin.errors) == ("utf-8", "strict")
+
+
 class TestModuleEntry:
     @pytest.mark.parametrize("module", ["rulerunner", "rulerunner.cli"])
     def test_python_m_runs_the_cli(self, module):
