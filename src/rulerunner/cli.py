@@ -17,7 +17,7 @@ import sys
 
 from .engine import CachedMonitor, Verdict, explain, run_trace
 from .ltl import Formula, NnfError, ParseError, format_formula, parse_formula, to_nnf
-from .oracle import enumerate_formulas, oracle_eval, random_formula
+from .oracle import enumerate_formulas, formula_space_size, oracle_eval, random_formula
 from .rules import compile_formula, dump_rules, dump_rules_json
 from .traces import (
     GenParams,
@@ -97,7 +97,10 @@ def cmd_stream(args) -> int:
     the memo's bounds; a line met before whose transition is known costs a
     lookup there, `table.get(letter)` and one in the row, with no call.  A
     UTF-8 input may open with a byte-order mark, which is dropped; a stdin
-    read before the call (by an earlier session, say) keeps its decoding."""
+    read before the call (by an earlier session, say) keeps its decoding.  A
+    line that is not UTF-8 is then skipped as malformed only if that
+    decoding escapes it: from a stdin that decodes strictly, the first such
+    line past the chunk already read ends the session with exit 3."""
     cache = CachedMonitor(compile_formula(_parse_nnf(args.formula)))
     table = cache.table
     state = before = cache.initial
@@ -196,18 +199,6 @@ def run_differential(
 ENUMERATION_CAP = 200_000
 
 
-def _formula_space_size(max_depth: int, atoms: int) -> int:
-    """The number of formulae of operator depth at most `max_depth`, or, once
-    the count passes `ENUMERATION_CAP`, the first count that does."""
-    n = 1 + 2 * atoms  # true, atoms, negated atoms
-    leaves = n
-    for _ in range(max_depth):
-        if n > ENUMERATION_CAP:
-            break
-        n = leaves + 4 * n + 3 * n * n
-    return n
-
-
 def cmd_diff(args) -> int:
     for flag, value, least in (
         ("--max-depth", args.max_depth, 0),
@@ -219,7 +210,7 @@ def cmd_diff(args) -> int:
             print(f"invalid diff parameters: {flag} must be >= {least}", file=sys.stderr)
             return EXIT_USAGE
     atoms = check_alphabet(_atom_names(args.atoms))
-    if _formula_space_size(args.max_depth, len(atoms)) > ENUMERATION_CAP:
+    if formula_space_size(args.max_depth, list(atoms), ENUMERATION_CAP) > ENUMERATION_CAP:
         # full enumeration is out of reach; fall back to seeded sampling
         if args.limit is None:
             print(

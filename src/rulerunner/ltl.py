@@ -18,10 +18,11 @@ one such as a 1,000-conjunct ``&`` chain, needs no deep recursion.  `SubformulaI
 numbers the distinct subformulae in one post-order walk that knows a node
 by its class and its operands' ids (a leaf by its class and name), never by
 hashing or comparing a formula, and composes a subformula's text from its
-operands' texts on first read.  The tables `_BINARY_TEXT`, `_PREFIX_TEXT`
-and `_LEVEL` state how each operator prints and when an operand takes
-parentheses, once, for those texts and for `format_formula`, which emits
-its text left to right.
+operands' texts on first read.  `_compose` is the one place that builds a
+formula's text, a leaf's from its name and a node's from its operands'
+texts (`_BINARY_TEXT` and `_PREFIX_TEXT` state how each operator prints,
+`_LEVEL` when an operand takes parentheses); `format_formula` applies it
+in a post-order walk over the nodes, `SubformulaIndex` over the ids.
 """
 
 from __future__ import annotations
@@ -281,58 +282,37 @@ def _wrap(operand: Formula, text: str, place: int) -> str:
 
 
 def _compose(f: Formula, texts: list[str]) -> str:
-    """The text of `f` from its operands' texts."""
+    """The text of `f` from its operands' texts, in operand order (none for a leaf)."""
     cls = f.__class__
     if cls in _BINARY_TEXT:
         left, infix, right = _BINARY_TEXT[cls]
         return _wrap(f.left, texts[0], left) + infix + _wrap(f.right, texts[1], right)
     if cls in _PREFIX_TEXT:
         return _PREFIX_TEXT[cls] + _wrap(f.sub, texts[0], _LEVEL_UNARY)
-    return format_formula(f)  # a leaf
+    if cls is TrueConst:
+        return "true"
+    return "!" + f.name if cls is NegAtom else f.name
 
 
 def format_formula(f: Formula) -> str:
     """Render with minimal parentheses; inverse of parse_formula.
 
-    Emits the text left to right: it follows each left operand or prefix
-    operand down at once and stacks what prints after it (a closing
-    parenthesis, an operator, a right operand)."""
-    text = ""
-    todo: list[Formula | str] = [f]
+    Walks in post-order with an explicit stack and composes each node's
+    text from its operands' texts, as `SubformulaIndex` does over ids."""
+    done: list[str] = []  # operand texts, awaiting their operator
+    todo: list[tuple[Formula, bool]] = [(f, False)]  # (formula, operands done)
     while todo:
-        g = todo.pop()
-        cls = g.__class__
-        if cls is str:
-            text += g
-            continue
-        while True:  # down the left spine, as the left or prefix operand prints next
-            if cls is Atom:
-                text += g.name
-                break
-            binary = _BINARY_TEXT.get(cls)
-            if binary is not None:
-                place, infix, right_place = binary
-                right = g.right
-                if _LEVEL[right.__class__] < right_place:
-                    todo += (")", right, "(")
-                else:
-                    todo.append(right)
-                todo.append(infix)
-                g = g.left
-            elif cls is NegAtom:
-                text += "!" + g.name
-                break
-            elif cls is TrueConst:
-                text += "true"
-                break
-            else:
-                text += _PREFIX_TEXT[cls]
-                g, place = g.sub, _LEVEL_UNARY
-            cls = g.__class__
-            if _LEVEL[cls] < place:
-                text += "("
-                todo.append(")")
-    return text
+        g, ready = todo.pop()
+        if ready:
+            arity = 2 if isinstance(g, Binary) else 1
+            done[-arity:] = [_compose(g, done[-arity:])]
+        elif isinstance(g, Binary):
+            todo += ((g, True), (g.right, False), (g.left, False))
+        elif g.__class__ in _PREFIX_TEXT:
+            todo += ((g, True), (g.sub, False))
+        else:
+            done.append(_compose(g, []))
+    return done[0]
 
 
 class SubformulaIndex:
@@ -349,13 +329,13 @@ class SubformulaIndex:
     def __init__(self, root: Formula):
         self.formulas: list[Formula] = []
         self.kids: list[tuple[int, ...]] = []
-        self._keys: dict[tuple, int] = {}
         self.root = self._walk(root)
         self._texts: list[str | None] = [None] * len(self.formulas)
 
     def _walk(self, root: Formula) -> int:
         """The id of `root`, numbering each subformula not met before."""
-        keys, formulas, kids = self._keys, self.formulas, self.kids
+        formulas, kids = self.formulas, self.kids
+        keys: dict[tuple, int] = {}  # (class, operand ids) or (class, name) -> fid
         seen: dict[int, int] = {}  # id() of a numbered node -> its fid; `root` keeps every node alive
         todo = [root]
         while todo:

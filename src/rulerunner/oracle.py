@@ -217,6 +217,17 @@ def enumerate_formulas(max_depth: int, atoms: list[str]) -> list[Formula]:
     return layer
 
 
+def formula_space_size(max_depth: int, atoms: list[str], cap: int) -> int:
+    """`len(enumerate_formulas(max_depth, atoms))`, counted without building
+    a formula; once the count passes `cap`, the first count that does."""
+    leaves = n = len(leaf_formulas(atoms))
+    for _ in range(max_depth):
+        if n > cap:
+            break
+        n = leaves + len(_UNARY_CTORS) * n + len(_BINARY_CTORS) * n * n
+    return n
+
+
 def random_formula(
     max_depth: int,
     atoms: list[str],

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from rulerunner import CachedMonitor, Trace, Verdict, cli, compile_formula, enumerate_formulas, truth
-from rulerunner.cli import ENUMERATION_CAP, _diff_traces, _formula_space_size, main, run_differential
+from rulerunner.cli import ENUMERATION_CAP, _diff_traces, main, run_differential
+from rulerunner.oracle import formula_space_size
 from rulerunner.traces import MEMO_CELLS, MEMO_LINE_CHARS
 from rulerunner.truth import FALSE, TRUE
 
@@ -502,7 +503,7 @@ class TestDiff:
         assert "comparisons" not in captured.out
 
     def test_large_depth_samples_without_counting_every_formula(self, capsys):
-        assert _formula_space_size(10**6, 2) > ENUMERATION_CAP
+        assert formula_space_size(10**6, ["a", "b"], ENUMERATION_CAP) > ENUMERATION_CAP
         assert main(["diff", "--max-depth", "30", "--limit", "2", "--traces", "2"]) == 0
         assert "mismatches: 0" in capsys.readouterr().out
 

@@ -1,7 +1,9 @@
 """NNF, printing and subformula indexing walk with explicit stacks: a deep
 formula, negation-free subtrees kept as they are, and subformula texts
-composed from their operands' texts."""
+composed from their operands' texts, by the one composer the printer uses
+too."""
 
+import pytest
 from hypothesis import given, settings
 
 from rulerunner import (
@@ -14,10 +16,21 @@ from rulerunner import (
     Not,
     Or,
     SubformulaIndex,
+    Until,
     WeakNext,
+    check_run,
+    cli,
+    compile_formula,
+    dump_rules,
+    dump_rules_json,
+    explain,
     format_formula,
     is_nnf,
+    ltl,
+    oracle,
     parse_formula,
+    parse_trace_inline,
+    run_trace,
     to_nnf,
 )
 from test_ltl import negation_formulas
@@ -61,3 +74,61 @@ def test_composed_texts_match_format(f):
     assert idx.text(idx.root) == format_formula(f)  # composes every text, from the root down
     assert [idx.text(fid) for fid in range(len(idx))] == list(map(format_formula, idx.formulas))
 
+
+def test_no_path_formats_a_formula(monkeypatch):
+    """Leaves carry their index text, so checking, explaining, listing and
+    the differential run build every text they print through `_compose`,
+    without `format_formula`, also for `true`, `a` and `!a`."""
+
+    def refuse(f):
+        raise AssertionError("format_formula called")
+
+    for module in (ltl, oracle, cli):
+        monkeypatch.setattr(module, "format_formula", refuse)
+    formulas = [to_nnf(parse_formula(text)) for text in ("true", "a", "!a", "a U (!a & X true)", "G (!a | F a)")]
+    traces = [parse_trace_inline(text) for text in ("[a]", "[- a - a]", "[a - - a]")]
+    for f in formulas:
+        system = compile_formula(f)
+        for u in traces:
+            report = check_run(f, u)
+            assert report.passed, report.render()
+            explain(run_trace(system, u))
+        dump_rules(system)
+        dump_rules_json(system)
+    assert cli.run_differential(formulas, traces) == (len(formulas) * len(traces), [])
+
+
+def _chain(op, depth: int):
+    f = a
+    for k in range(depth):
+        f = op(k, f)
+    return f
+
+
+SPEC = " & ".join(f"G (!p{i} | F q{i})" for i in range(1000))
+# (formula, its text); texts are compared, never formulae, as a dataclass `==` recurses on depth
+DEEP_CHAINS = {
+    "10,000 nested X": (lambda: _chain(lambda k, f: Next(f), 10_000), "X " * 10_000 + "a"),
+    "3,000-deep right-nested U": (lambda: _chain(lambda k, f: Until(a, f), 3000), " U ".join(["a"] * 3001)),
+    "1,000-conjunct spec": (lambda: parse_formula(SPEC), SPEC),
+    "3,000-deep !X/!F": (
+        lambda: _chain(lambda k, f: Not(Next(f)) if k % 2 else Not(Eventually(f)), 3000),
+        "!X !F " * 1500 + "a",
+    ),
+    "3,000-deep W F, its NNF": (
+        lambda: to_nnf(_chain(lambda k, f: Not(Next(f)) if k % 2 else Not(Eventually(f)), 3000)),
+        "W F " * 1500 + "a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_CHAINS)
+def test_deep_chains_print_without_recursion(name):
+    build, want = DEEP_CHAINS[name]
+    f = build()
+    text = format_formula(f)
+    assert text == want
+    assert format_formula(parse_formula(text)) == text
+    if is_nnf(f):
+        idx = SubformulaIndex(f)
+        assert idx.text(idx.root) == text

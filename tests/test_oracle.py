@@ -25,7 +25,7 @@ from rulerunner import (
     random_formula,
     to_nnf,
 )
-from rulerunner.oracle import BOTTOM, TOP, JAnd, JLeaf, JOr, eval_judgement
+from rulerunner.oracle import BOTTOM, TOP, JAnd, JLeaf, JOr, eval_judgement, formula_space_size
 
 
 def ev(formula: str, trace: str, i: int = 0) -> bool:
@@ -253,6 +253,14 @@ def test_enumerate_counts_match_recurrence():
     assert f1 == leaves + 4 * leaves + 3 * leaves**2
     f2 = len(enumerate_formulas(2, ["a", "b"]))
     assert f2 == leaves + 4 * f1 + 3 * f1**2
+
+
+@pytest.mark.parametrize(
+    "max_depth, atoms",
+    [(d, ["a"]) for d in range(3)] + [(d, ["a", "b"]) for d in range(3)] + [(d, ["a", "b", "c"]) for d in range(2)],
+)
+def test_formula_space_size_counts_the_enumeration(max_depth, atoms):
+    assert formula_space_size(max_depth, atoms, 10**9) == len(enumerate_formulas(max_depth, atoms))
 
 
 def test_enumerate_is_deterministic_and_distinct():
