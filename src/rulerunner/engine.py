@@ -371,7 +371,7 @@ class Monitor:
                 else:
                     value = tables[0][(_aggregate(inst, code == K_EVENTUALLY, prune),)]
                 if is_last and value.kind == "?":  # the paper's end-of-trace rule
-                    value = truth.END[node.kind]
+                    value = truth.END[KINDS[code]]
                 inst.value = value
 
     def _settle(self) -> tuple[tuple[int, int], ...]:
@@ -416,9 +416,8 @@ class Monitor:
                     if mode is not inst.mode:
                         ops.pop(1 if mode is _L else 0)
                 elif mode is not _L and mode is not _R and inst.mode is not _M:
-                    ops.append(spawn(node.left, nxt))
-                    if node.right is not None:
-                        ops.append(spawn(node.right, nxt))
+                    for x in node.kids:
+                        ops.append(spawn(x, nxt))
                 inst.mode = mode
                 held.update(ops)
             for epoch in dropped:
@@ -439,7 +438,7 @@ class Monitor:
             insts = live[fid]
             if not insts:
                 continue
-            if forward and (node.left in folded or node.right in folded):
+            if forward and not folded.isdisjoint(node.kids):
                 for inst in insts.values():
                     inst.ops = [forward.get(sub, sub) for sub in inst.ops]
             if len(insts) < 2:

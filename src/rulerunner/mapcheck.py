@@ -23,7 +23,7 @@ from functools import reduce
 from .engine import Monitor, Verdict, _eval_tokens, _rule_tokens
 from .ltl import Formula, Next, WeakNext, _compose
 from .oracle import BOTTOM, TOP, JAnd, JLeaf, JOr, Judgement, eval_judgement
-from .rules import RuleSystem, compile_formula
+from .rules import K_ALWAYS, K_EVENTUALLY, K_NEXT, K_OR, K_TRUE, K_UNTIL, K_WEAKNEXT, RuleSystem, compile_formula
 from .traces import Trace, format_trace_inline
 from .truth import EvalMode, TruthValue
 
@@ -50,29 +50,29 @@ def map_state(
     mapped: dict[tuple[int, int], Judgement] = {}
     for fid, epoch, mode, ops in graph:
         value = values.get((fid, epoch))
-        kind = nodes[fid].kind
+        code = nodes[fid].code
         if value is not None and value.kind != "?":
             judgement = TOP if value.kind == "T" else BOTTOM
-        elif kind in ("true", "atom", "negatom") or (kind in ("next", "weaknext") and mode is not EvalMode.M):
+        elif code <= K_TRUE or ((code == K_NEXT or code == K_WEAKNEXT) and mode is not EvalMode.M):
             # mirroring is a property of the activation, not of the ?M value
             judgement = JLeaf(index.formulas[fid], cell, index.text(fid))
         else:
             subs = [(TOP if op.kind == "T" else BOTTOM) if isinstance(op, TruthValue) else mapped[op] for op in ops]
             if value is not None:
                 mode = value.mode
-            if kind in ("next", "weaknext"):
+            if code == K_NEXT or code == K_WEAKNEXT:
                 judgement = subs[0]
-            elif kind == "eventually":
+            elif code == K_EVENTUALLY:
                 judgement = reduce(JOr, subs + [_unfolding(Next, system, fid, cell)])
-            elif kind == "always":
+            elif code == K_ALWAYS:
                 judgement = reduce(JAnd, subs + [_unfolding(WeakNext, system, fid, cell)])
-            elif kind != "until":
+            elif code != K_UNTIL:
                 if mode is EvalMode.L:
                     judgement = subs[0]
                 elif mode is EvalMode.R:
                     judgement = subs[-1]
                 else:
-                    judgement = JOr(subs[0], subs[1]) if kind == "or" else JAnd(subs[0], subs[1])
+                    judgement = JOr(subs[0], subs[1]) if code == K_OR else JAnd(subs[0], subs[1])
             else:
                 # until over its (operand one, operand two) pairs, oldest
                 # first: a witness at pair j needs operand one at every

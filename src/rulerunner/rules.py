@@ -1,12 +1,13 @@
 """Compilation of an NNF formula into the paper's rule system.
 
 `compile_formula` builds only what the engine steps from: the subformula
-index, one `NodeInfo` per subformula (operator kind, its dispatch code
-`code`, atom, operand ids, and `spawn_ops`, the operands an instance holds
-from its spawn cell on: all of them, but none for a next or weak next) and
-`init_sets`, the rule names each subformula activates when it is spawned,
-its own and those of its `spawn_ops` (the root's set is the initial state;
-an operator starts in the first mode of its `truth.TABLES` entry).  It
+index, one `NodeInfo` per subformula (its dispatch code `code`, an index
+into `KINDS`, a leaf's atom, its operand ids `kids`, and `spawn_ops`, the
+operands an instance holds from its spawn cell on: all of them, but none
+for a next or weak next) and `init_sets`, the rule names each subformula
+activates when it is spawned, its own and those of its `spawn_ops` (the
+root's set is the initial state; an operator starts in the first mode of
+its `truth.TABLES` entry).  It
 reads the index's post-order ids and each subformula's operand ids
 (`SubformulaIndex.kids`) and formats and hashes no formula: each fid's
 initial `RuleName` is made once, and an initial set, kept sorted by fid, is
@@ -132,15 +133,14 @@ class ReactivationRule:
 
 @dataclass(slots=True)
 class NodeInfo:
-    """One subformula as the engine steps it.  A compile record, read-only
-    by convention (see `RuleName`); the engine reads its fields by slot."""
+    """One subformula as the engine steps it, each fact once: its operator
+    is `KINDS[code]`.  A compile record, read-only by convention (see
+    `RuleName`); the engine reads its fields by slot."""
 
-    kind: str
-    code: int  # dispatch code, the index of `kind` in KINDS
-    atom: str | None = None
-    left: int | None = None
-    right: int | None = None
-    spawn_ops: tuple[int, ...] = ()  # the operand ids an instance holds from its spawn cell on
+    code: int  # dispatch code, an index into KINDS
+    atom: str | None  # a leaf's atom name; None for `true` and every operator
+    kids: tuple[int, ...]  # the operand ids, left first: `SubformulaIndex.kids`
+    spawn_ops: tuple[int, ...]  # the operand ids an instance holds from its spawn cell on
 
 
 @dataclass(frozen=True)
@@ -197,16 +197,13 @@ def compile_formula(f: Formula) -> RuleSystem:
     init_sets: list[tuple[RuleName, ...]] = []
     for fid, (g, kids) in enumerate(zip(index.formulas, index.kids)):
         code = _CODE_OF[g.__class__]
+        # a next holds its operand only from the next cell
+        spawn_ops = () if code == K_NEXT or code == K_WEAKNEXT else kids
+        nodes.append(NodeInfo(code, g.name if code <= K_NEGATOM else None, kids, spawn_ops))
         own = (RuleName(fid, _FIRST_MODE[code]),)
-        if len(kids) == 2:
-            nodes.append(NodeInfo(KINDS[code], code, None, kids[0], kids[1], kids))
+        if len(spawn_ops) == 2:
             own = _merge(init_sets[kids[0]], init_sets[kids[1]]) + own  # operand fids are below fid
-        elif not kids:
-            nodes.append(NodeInfo(KINDS[code], code, getattr(g, "name", None)))
-        elif code == K_NEXT or code == K_WEAKNEXT:  # a next holds its operand only from the next cell
-            nodes.append(NodeInfo(KINDS[code], code, None, kids[0]))
-        else:
-            nodes.append(NodeInfo(KINDS[code], code, None, kids[0], None, kids))
+        elif spawn_ops:
             own = init_sets[kids[0]] + own
         init_sets.append(own)
     return RuleSystem(index, tuple(nodes), tuple(init_sets), index.root)
@@ -219,11 +216,11 @@ def _build_listing(sys: RuleSystem) -> tuple[tuple[EvaluationRule, ...], tuple[R
     react_rules: list[ReactivationRule] = []
     for fid, node in enumerate(sys.nodes):
         own = RuleName(fid)
-        if node.kind == "true":
+        if node.code == K_TRUE:
             eval_rules.append(EvaluationRule(own, (), fid, TRUE))
-        elif node.kind in ("atom", "negatom"):
-            observed = TRUE if node.kind == "atom" else FALSE
-            missing = FALSE if node.kind == "atom" else TRUE
+        elif node.code <= K_NEGATOM:
+            observed = TRUE if node.code == K_ATOM else FALSE
+            missing = FALSE if node.code == K_ATOM else TRUE
             eval_rules.append(EvaluationRule(own, (ObsCond(node.atom, True),), fid, observed))
             eval_rules.append(EvaluationRule(own, (ObsCond(node.atom, False),), fid, missing))
         else:
@@ -236,13 +233,15 @@ def _build_listing(sys: RuleSystem) -> tuple[tuple[EvaluationRule, ...], tuple[R
 def _walk_tables(sys: RuleSystem, fid: int, node: NodeInfo, eval_rules: list, react_rules: list) -> None:
     """Append an operator's evaluation rules, one per `truth.TABLES` entry
     and its `truth.END` rule, and its reactivation rules, one per mode."""
-    modes = truth.TABLES[node.kind]
+    kind = KINDS[node.code]
+    modes = truth.TABLES[kind]
     initial = next(iter(modes))
-    end = truth.END.get(node.kind)
+    end = truth.END.get(kind)
+    next_op = node.code == K_NEXT or node.code == K_WEAKNEXT
     for mode, table in modes.items():
         guard = RuleName(fid, mode)
         for kinds, out in table.items():
-            conds = tuple(map(ValueCond, truth.reads(mode, len(kinds), node.left, node.right), kinds))
+            conds = tuple(map(ValueCond, truth.reads(mode, len(kinds), node.kids), kinds))
             if mode is EvalMode.A and kinds[1] == "T":  # the right operand holding decides an until outright,
                 if kinds[0] != "T":  # so its three cells render as one rule
                     continue
@@ -252,13 +251,10 @@ def _walk_tables(sys: RuleSystem, fid: int, node: NodeInfo, eval_rules: list, re
             eval_rules.append(EvaluationRule(None, (ValueCond(fid, "?"), EndCond()), fid, end))
         # in modes L and R no later cell can witness an until, and in mode M a
         # next already holds its operand, so nothing is respawned
-        respawn = node.code >= K_NEXT and mode not in (EvalMode.L, EvalMode.R, EvalMode.M)
-        nxt = (RuleName(fid, EvalMode.M if node.code == K_NEXT or node.code == K_WEAKNEXT else mode),)
-        if respawn:
-            respawned = sys.init_sets[node.left]
-            if node.right is not None:
-                respawned = _merge(respawned, sys.init_sets[node.right])
-            nxt = respawned + nxt
+        nxt = (RuleName(fid, EvalMode.M if next_op else mode),)
+        if node.code >= K_NEXT and mode not in (EvalMode.L, EvalMode.R, EvalMode.M):
+            # a node's own name ends its initial set, and a next's set holds none of its operand's
+            nxt = (sys.init_sets[node.kids[0]] if next_op else sys.init_sets[fid][:-1]) + nxt
         react_rules.append(ReactivationRule(fid, TruthValue("?", mode), nxt))
 
 

@@ -1,7 +1,8 @@
 """Finite traces of observation sets, inline/file formats, random generation.
 
 Inline syntax follows the bracketed dash notation, e.g. ``[c - a - b,d - b]``;
-``.`` writes an empty cell.  The last cell of a trace implicitly carries the
+``.`` writes an empty cell, and so does a blank one: ``[a - - b]``, ``[- a]``
+and ``[a -]`` each hold one.  The last cell of a trace implicitly carries the
 end-of-input marker; the marker is positional, so ``END`` is rejected as an
 observation name.
 """

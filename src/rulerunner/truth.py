@@ -144,10 +144,10 @@ class IllegalModeError(ValueError):
     """Raised for an (operator, mode) pairing outside the rule grammar."""
 
 
-def reads(mode: EvalMode, n: int, left, right) -> tuple:
-    """The `n` operands a table of `mode` is keyed by, of an operator's `left`
-    and `right` (a unary one's is `left`): mode R reads the right one only."""
-    return (right,) if mode is EvalMode.R else (left, right)[:n]
+def reads(mode: EvalMode, n: int, operands: tuple) -> tuple:
+    """The `n` operands a table of `mode` is keyed by, of an operator's
+    `operands`, left first: mode R reads the right one only."""
+    return operands[1:] if mode is EvalMode.R else operands[:n]
 
 
 def _table(tables: dict, op: str, mode: EvalMode) -> dict:
@@ -163,7 +163,7 @@ def eval_binary(op: str, mode: EvalMode, left: TruthValue | None, right: TruthVa
     A mode that reads one operand (L and until's B the left, R the right)
     may be passed None for the other."""
     table = _table(_BINARY, op, mode)
-    operands = reads(mode, len(next(iter(table))), left, right)
+    operands = reads(mode, len(next(iter(table))), (left, right))
     if any(x is None for x in operands):
         raise ValueError(f"mode {mode.name} of {op!r} reads an operand passed as None")
     return table[tuple(x.kind for x in operands)]
@@ -179,5 +179,5 @@ def eval_unary(op: str, mode: EvalMode, sub: TruthValue, at_end: bool) -> TruthV
     is ignored; in M mode the operand value is mirrored.
     """
     table = _table(_UNARY, op, mode)
-    value = table[tuple(x.kind for x in reads(mode, len(next(iter(table))), sub, None))]
+    value = table[tuple(x.kind for x in reads(mode, len(next(iter(table))), (sub,)))]
     return END[op] if at_end and value.kind == "?" else value

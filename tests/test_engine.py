@@ -27,6 +27,7 @@ from rulerunner import (
     run_trace,
     to_nnf,
 )
+from rulerunner.rules import KINDS
 from rulerunner.truth import FALSE, TRUE
 
 
@@ -258,6 +259,55 @@ class TestMachineSnapshot:
         assert d["evaluations"][0] == {"formula": "a", "epoch": 0, "value": "F"}
         assert {"rule": "R[a | F b]R", "epoch": 0} in d["active"]
 
+    def test_to_dict_pins_an_until_run(self):
+        """Both cells of `a U b` over `[a - b]`, whole: the until waits in
+        mode A, then the verdict leaves no active rules."""
+        dicts = [outcome.to_dict() for outcome in run("a U b", "[a - b]").outcomes]
+        assert dicts == [
+            {
+                "cell": 0,
+                "verdict": "UNDECIDED",
+                "observations": ["a"],
+                "evaluations": [
+                    {"formula": "a", "epoch": 0, "value": "T"},
+                    {"formula": "b", "epoch": 0, "value": "F"},
+                    {"formula": "a U b", "epoch": 0, "value": "?A"},
+                ],
+                "active": [
+                    {"rule": "R[a]", "epoch": 1},
+                    {"rule": "R[b]", "epoch": 1},
+                    {"rule": "R[a U b]A", "epoch": 0},
+                ],
+            },
+            {
+                "cell": 1,
+                "verdict": "SUCCESS",
+                "observations": ["b"],
+                "evaluations": [
+                    {"formula": "a", "epoch": 1, "value": "F"},
+                    {"formula": "b", "epoch": 1, "value": "T"},
+                    {"formula": "a U b", "epoch": 0, "value": "T"},
+                ],
+                "active": None,
+            },
+        ]
+        assert all(json.loads(json.dumps(d)) == d for d in dicts)
+
+    def test_to_dict_lists_every_epoch_of_a_rule(self):
+        """`G F X a` over `[. - . - a]` keeps two epochs of `F X a` after
+        cell 1, and the active list names each one."""
+        dicts = [outcome.to_dict() for outcome in run("G F X a", "[. - . - a]").outcomes]
+        assert [d["verdict"] for d in dicts] == ["UNDECIDED", "UNDECIDED", "FAILURE"]
+        assert dicts[1]["active"] == [
+            {"rule": "R[a]", "epoch": 2},
+            {"rule": "R[X a]M", "epoch": 1},
+            {"rule": "R[X a]", "epoch": 2},
+            {"rule": "R[F X a]", "epoch": 0},
+            {"rule": "R[F X a]", "epoch": 2},
+            {"rule": "R[G F X a]", "epoch": 0},
+        ]
+        assert all(json.loads(json.dumps(d)) == d for d in dicts)
+
     def test_outcome_repr_names_the_formula_not_the_system(self):
         spec = " & ".join(f"G (!p{i} | F q{i})" for i in range(20))
         for text in ("G F a", spec):
@@ -380,7 +430,7 @@ class TestInvariants:
                     assert [(fid, epoch, mode) for fid, epoch, mode, _ in view] == list(monitor.active())
                     names = {(fid, epoch) for fid, epoch, _, _ in view}
                     assert all(op in names or op in (TRUE, FALSE) for _, _, _, ops in view for op in ops)
-                    kinds.update(system.nodes[fid].kind for inst, fid in live.items() if inst.ops)
+                    kinds.update(KINDS[system.nodes[fid].code] for inst, fid in live.items() if inst.ops)
                     checks += 1
         assert {"eventually", "always", "until"} <= kinds
         assert checks > 8_000
@@ -749,6 +799,31 @@ class TestStateSize:
                     twin.step(pattern[j % len(pattern)])
                     assert twin.live_count() <= bound, f"{text}: {twin.live_count()} live on a clone"
             monitor.step(pattern[i % len(pattern)])
+
+    # formula, its node count and the most live instances it keeps
+    ABOVE_TWICE_NODES = [("G (true U X X X true)", 6, 15), ("G (true U X X X a)", 7, 16)]
+
+    @pytest.mark.parametrize("text, nodes, peak", ABOVE_TWICE_NODES, ids=[t for t, _, _ in ABOVE_TWICE_NODES])
+    @pytest.mark.parametrize("cells", ["empty", "random"])
+    def test_live_state_above_twice_nodes_is_flat(self, text, nodes, peak, cells):
+        """`2 × nodes` bounds the seven probes above, not every formula: an
+        until over a chain of nexts keeps each pending epoch's chain of
+        mirroring next instances, more than twice its nodes.  That state is
+        still bounded by the formula: its peak over cells 1,000–20,000
+        equals its peak over the first 1,000."""
+        system = system_for(text)
+        assert len(system.nodes) == nodes
+        rng = random.Random(30)
+        monitor = Monitor(system)
+        first = later = 0
+        for i in range(20_000):
+            monitor.advance(() if cells == "empty" else [x for x in "ab" if rng.random() < 0.5])
+            if i < 1000:
+                first = max(first, monitor.live_count())
+            else:
+                later = max(later, monitor.live_count())
+        assert not monitor.finished
+        assert first == later == peak > 2 * nodes
 
     def test_until_keeps_no_settled_cells(self):
         """`a U b` with `a` held settles every cell; none of them stays in

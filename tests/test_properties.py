@@ -42,6 +42,7 @@ from rulerunner import (
     run_trace,
 )
 from rulerunner.cli import main
+from rulerunner.rules import KINDS
 
 LEAVES = st.sampled_from([TrueConst(), *(op(x) for x in "abc" for op in (Atom, NegAtom))])
 
@@ -69,7 +70,7 @@ def assert_folded(monitor: Monitor) -> None:
     identical futures, and the monitor folds them into one."""
     keys = set()
     for fid, _, mode, ops in monitor.instances():
-        kind = monitor.system.nodes[fid].kind
+        kind = KINDS[monitor.system.nodes[fid].code]
         key = (fid, frozenset(ops)) if kind in ("eventually", "always") else (fid, mode, ops)
         assert key not in keys, f"two live instances of node {fid} ({kind}) with key {key}"
         keys.add(key)

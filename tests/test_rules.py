@@ -34,7 +34,7 @@ from rulerunner import (
     run_trace,
     to_nnf,
 )
-from rulerunner.rules import K_NEXT, EvaluationRule, ObsCond, RuleName, ValueCond
+from rulerunner.rules import K_NEXT, K_OR, KINDS, EvaluationRule, ObsCond, RuleName, ValueCond
 from rulerunner.truth import FALSE, TRUE
 from test_acceptance import sweep_traces
 
@@ -290,7 +290,7 @@ class TestCountsAndBound:
             from rulerunner import Or
 
             system = compile_formula(Or(left, right))
-            if system.nodes[system.root].kind != "or":  # dedup may collapse
+            if system.nodes[system.root].code != K_OR:  # dedup may collapse
                 continue
             sizes.add(len(root_rules(system)))
         assert sizes == {17}  # 15 table rules + SUCCESS + FAILURE
@@ -343,6 +343,7 @@ class TestStructuralProperties:
         f = to_nnf(parse_formula("(a U b) | G (a & X b)"))
         one, two = compile_formula(f), compile_formula(f)
         assert one.nodes == two.nodes and one.nodes is not two.nodes
+        assert all(node.kids is kids for node, kids in zip(one.nodes, one.index.kids))  # one copy of the operand ids
         assert one.init_sets == two.init_sets
         names = {*one.initial, *two.initial}  # an equal name from the second compile is the same member
         assert len(names) == len(one.initial)
@@ -492,7 +493,7 @@ def is_flat(system) -> bool:
     temporal = []  # by fid: whether the subformula holds a temporal operator
     flat = True
     for node in system.nodes:
-        operands = [temporal[x] for x in (node.left, node.right) if x is not None]
+        operands = [temporal[x] for x in node.kids]
         is_temporal = node.code >= K_NEXT
         flat = flat and not (is_temporal and any(operands))
         temporal.append(is_temporal or any(operands))
@@ -553,8 +554,10 @@ def compile_record(text: str) -> str:
             negated,
             repr(index.formulas),
             repr([index.text(fid) for fid in range(len(index))]),
-            repr(system.nodes),
+            # each node's facts, independent of how `NodeInfo` lays them out
+            repr([(KINDS[node.code], node.code, node.atom, node.kids, node.spawn_ops) for node in system.nodes]),
             repr(system.init_sets),
+            dump_rules(system),
             dump_rules_json(system),
         ]
     )
@@ -562,7 +565,7 @@ def compile_record(text: str) -> str:
 
 # sha256 of the compile records below; a change to it means parsing, printing,
 # NNF, the subformula index, the node table, the initial sets or the listing changed
-COMPILE_DIGEST = "3202bae35009a2695856c8d88e40b736eb50b6dbd00b0a94c6f724c4fd9db141"
+COMPILE_DIGEST = "5187b5be5f43b3bcdd8c298ba07a2e5688c333e4f344e9d6147818168e707331"
 
 
 def test_compile_artefacts_match_pinned_digest():

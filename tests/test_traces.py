@@ -26,6 +26,14 @@ class TestInlineFormat:
     def test_empty_cell_dot(self):
         assert parse_trace_inline(". - a").cells == (frozenset(), frozenset({"a"}))
 
+    def test_blank_cell_is_empty(self):
+        """A blank cell reads as `.`, wherever it stands."""
+        a, empty = frozenset({"a"}), frozenset()
+        assert parse_trace_inline("[a - - b]").cells == (a, empty, frozenset({"b"}))
+        assert parse_trace_inline("[- a]").cells == (empty, a)
+        assert parse_trace_inline("[a -]").cells == (a, empty)
+        assert parse_trace_inline("[ - ]").cells == (empty, empty)
+
     def test_brackets_optional_and_whitespace_tolerated(self):
         assert parse_trace_inline("  c-a -  b , d-b ") == parse_trace_inline("[c - a - b,d - b]")
 
