@@ -17,12 +17,13 @@ explicit stacks too, so a formula nested 10,000 levels deep, or a wide
 one such as a 1,000-conjunct ``&`` chain, needs no deep recursion.  `SubformulaIndex`
 numbers the distinct subformulae in one post-order walk that knows a node
 by its class and its operands' ids (a leaf by its class and name), never by
-hashing or comparing a formula, and composes a subformula's text from its
-operands' texts on first read.  `_compose` is the one place that builds a
-formula's text, a leaf's from its name and a node's from its operands'
-texts (`_BINARY_TEXT` and `_PREFIX_TEXT` state how each operator prints,
-`_LEVEL` when an operand takes parentheses); `format_formula` applies it
-in a post-order walk over the nodes, `SubformulaIndex` over the ids.
+hashing or comparing a formula, and keeps only the texts it is asked for.
+`_compose` is the one place that builds a formula's text, a leaf's from its
+name and a node's from its operands' texts (`_BINARY_TEXT` and
+`_PREFIX_TEXT` state how each operator prints, `_LEVEL` when an operand
+takes parentheses); `format_formula` holds the one walk that applies it.
+`SubformulaIndex.text` applies it once, to operand texts already read, or
+else prints the subformula with `format_formula`.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def format_formula(f: Formula) -> str:
     """Render with minimal parentheses; inverse of parse_formula.
 
     Walks in post-order with an explicit stack and composes each node's
-    text from its operands' texts, as `SubformulaIndex` does over ids."""
+    text from its operands' texts; the only walk that builds a text."""
     done: list[str] = []  # operand texts, awaiting their operator
     todo: list[tuple[Formula, bool]] = [(f, False)]  # (formula, operands done)
     while todo:
@@ -322,8 +323,9 @@ class SubformulaIndex:
     its operands' ids (an atom by its class and name), so structurally equal
     subformulae share an id without hashing or comparing formulae, and a
     node object met again is found by its `id()`.  `kids[fid]` holds the
-    operand ids of subformula `fid`; its text is composed from theirs on
-    first read.
+    operand ids of subformula `fid`.  Its text is built on first read and
+    kept: composed from its operands' texts if each has been read, else
+    printed by `format_formula`, so no text nobody read is kept.
     """
 
     def __init__(self, root: Formula):
@@ -375,21 +377,8 @@ class SubformulaIndex:
 
     def text(self, fid: int) -> str:
         text = self._texts[fid]
-        return self._compose_texts(fid) if text is None else text
-
-    def _compose_texts(self, fid: int) -> str:
-        """Compose the text of `fid` and of each operand below it that has none yet, operands first."""
-        texts, kids = self._texts, self.kids
-        todo = [fid]
-        while todo:
-            g = todo[-1]
-            if texts[g] is not None:  # an operand pushed twice
-                todo.pop()
-                continue
-            missing = [k for k in kids[g] if texts[k] is None]
-            if missing:
-                todo += missing
-                continue
-            todo.pop()
-            texts[g] = _compose(self.formulas[g], [texts[k] for k in kids[g]])
-        return texts[fid]
+        if text is None:
+            texts = [self._texts[k] for k in self.kids[fid]]
+            f = self.formulas[fid]
+            text = self._texts[fid] = format_formula(f) if None in texts else _compose(f, texts)
+        return text

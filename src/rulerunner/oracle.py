@@ -203,17 +203,22 @@ def leaf_formulas(atoms: list[str]) -> list[Formula]:
 
 def enumerate_formulas(max_depth: int, atoms: list[str]) -> list[Formula]:
     """All structurally distinct NNF formulae up to the given operator
-    nesting depth, in a deterministic order."""
+    nesting depth, in a deterministic order.
+
+    Each layer is the leaves, then each constructor applied to the previous
+    layer.  No layer holds a formula twice: constructors are injective and
+    of distinct classes, and no leaf is a constructor's output, so a layer
+    without duplicates makes one without duplicates."""
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     layer = leaf_formulas(atoms)
     for _ in range(max_depth):
-        nxt = list(leaf_formulas(atoms))
+        nxt = leaf_formulas(atoms)
         for ctor in _UNARY_CTORS:
             nxt.extend(ctor(f) for f in layer)
         for ctor in _BINARY_CTORS:
             nxt.extend(ctor(f, g) for f in layer for g in layer)
-        layer = list(dict.fromkeys(nxt))
+        layer = nxt
     return layer
 
 

@@ -7,9 +7,11 @@ operand(s) can still decide the formula: ?L / ?R / ?B (left, right, both),
 `TABLES` is the one statement of every operator: one table per legal
 activation mode, the initial mode first, entries in rule-listing order.
 `END` is the one statement of the end of the trace: the value each temporal
-operator takes when it is still undecided at the last cell.  The engine
-indexes both and the rule listing walks both; the mode and operator names
-are derived from `TABLES`, and `eval_binary`/`eval_unary` look entries up.
+operator takes when it is still undecided at the last cell.  The rule
+listing walks both.  The engine indexes both but never reads the until's
+own tables, `UNTIL_A` and `UNTIL_B`: `engine._decide_until` computes an
+until's value in every mode.  The mode and operator names are derived
+from `TABLES`, and `eval_binary`/`eval_unary` look entries up.
 """
 
 from __future__ import annotations

@@ -75,6 +75,14 @@ class TestRun:
         assert main(["run", "a | F b", "--trace-file", str(p)]) == 0
         assert "SUCCESS at cell 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["", "# note\n  # another\n"], ids=["empty", "comments"])
+    def test_trace_file_without_a_cell_exits_2(self, tmp_path, capsys, text):
+        p = tmp_path / "u.trace"
+        p.write_text(text)
+        assert main(["run", "a", "--trace-file", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {p}: empty trace\n"
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "a", "--trace-file", "/nonexistent"]) == 2
 

@@ -131,6 +131,12 @@ class TestStepExamples:
         with pytest.raises(MonitorError):
             monitor.step({"a"}, is_last=True)
 
+    def test_advance_after_verdict_rejected(self):
+        monitor = Monitor(system_for("a"))
+        assert monitor.advance({"a"}) is Verdict.SUCCESS
+        with pytest.raises(MonitorError, match="already produced a verdict"):
+            monitor.advance({"a"}, is_last=True)
+
     def test_cross_epoch_until(self):
         # the only witness requires X a at cells 0 and 1; a is absent at cell 2
         assert verdict_of("(X a) U b", "[. - a - b]") is Verdict.FAILURE

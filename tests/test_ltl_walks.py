@@ -1,10 +1,14 @@
 """NNF, printing and subformula indexing walk with explicit stacks: a deep
 formula, negation-free subtrees kept as they are, and subformula texts
-composed from their operands' texts, by the one composer the printer uses
-too."""
+composed from their operands' texts by the one composer the printer uses,
+or else printed."""
+
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulerunner import (
     And,
@@ -16,6 +20,7 @@ from rulerunner import (
     Not,
     Or,
     SubformulaIndex,
+    TrueConst,
     Until,
     WeakNext,
     check_run,
@@ -63,27 +68,59 @@ def test_kids_hold_operand_ids():
     assert idx.kids == [(), (), (1,), (0, 2)]
 
 
-@given(negation_formulas(max_leaves=12))
+@given(negation_formulas(max_leaves=12), st.data())
 @settings(max_examples=200)
-def test_composed_texts_match_format(f):
+def test_composed_texts_match_format(f, data):
+    """An index text is printed when an operand's text is unread (the root
+    read first) and composed when every one is (ids in ascending order);
+    a drawn order mixes the two."""
     try:
         f = to_nnf(f)
     except NnfError:
         return
     idx = SubformulaIndex(f)
-    assert idx.text(idx.root) == format_formula(f)  # composes every text, from the root down
+    assert idx.text(idx.root) == format_formula(f)
     assert [idx.text(fid) for fid in range(len(idx))] == list(map(format_formula, idx.formulas))
+    idx = SubformulaIndex(f)
+    for fid in data.draw(st.permutations(range(len(idx)))):
+        assert idx.text(fid) == format_formula(idx.formulas[fid])
 
 
 def test_no_path_formats_a_formula(monkeypatch):
-    """Leaves carry their index text, so checking, explaining, listing and
-    the differential run build every text they print through `_compose`,
-    without `format_formula`, also for `true`, `a` and `!a`."""
+    """Checking, explaining, listing and the differential run print no
+    formula outside `SubformulaIndex.text`, also for `true`, `a` and `!a`,
+    and no index builds a text twice, so no path prints a formula on every
+    read.  An index prints a text with `format_formula` when an operand's
+    text is unread: at cell 0 of ``a U (!a & X true)`` the state names
+    ``X true`` but not ``true``."""
+    built = set()  # (index, fid) per text an index built
+    printed = []  # the formulae an index printed
+
+    def caller_index():
+        frame = sys._getframe(2)
+        if frame.f_code is not SubformulaIndex.text.__code__:
+            return None
+        key = idx, fid = frame.f_locals["self"], frame.f_locals["fid"]
+        assert key not in built, f"text {idx.formulas[fid]} built twice"
+        built.add(key)
+        return idx
+
+    def only_from_text(f):
+        assert caller_index() is not None, "format_formula called outside SubformulaIndex.text"
+        printed.append(f)
+        return format_formula(f)
+
+    def record_compose(f, texts):
+        caller_index()
+        return ltl_compose(f, texts)
 
     def refuse(f):
         raise AssertionError("format_formula called")
 
-    for module in (ltl, oracle, cli):
+    ltl_compose = ltl._compose
+    monkeypatch.setattr(ltl, "format_formula", only_from_text)
+    monkeypatch.setattr(ltl, "_compose", record_compose)
+    for module in (oracle, cli):
         monkeypatch.setattr(module, "format_formula", refuse)
     formulas = [to_nnf(parse_formula(text)) for text in ("true", "a", "!a", "a U (!a & X true)", "G (!a | F a)")]
     traces = [parse_trace_inline(text) for text in ("[a]", "[- a - a]", "[a - - a]")]
@@ -96,6 +133,7 @@ def test_no_path_formats_a_formula(monkeypatch):
         dump_rules(system)
         dump_rules_json(system)
     assert cli.run_differential(formulas, traces) == (len(formulas) * len(traces), [])
+    assert Next(TrueConst()) in printed and len(built) > len(printed)
 
 
 def _chain(op, depth: int):
@@ -132,3 +170,17 @@ def test_deep_chains_print_without_recursion(name):
     if is_nnf(f):
         idx = SubformulaIndex(f)
         assert idx.text(idx.root) == text
+
+
+def test_root_text_of_a_deep_chain_keeps_no_operand_text():
+    """Reading only the root text of 10,000 nested X keeps that one text,
+    not the 10,000 operand texts below it (about 100 MB in all)."""
+    idx = SubformulaIndex(_chain(lambda k, f: Next(f), 10_000))
+    tracemalloc.start()
+    try:
+        text = idx.text(idx.root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "X " * 10_000 + "a"
+    assert peak < 2 * 2**20, peak

@@ -18,6 +18,7 @@ from rulerunner import (
     Trace,
     TrueConst,
     enumerate_formulas,
+    format_formula,
     is_nnf,
     oracle_eval,
     parse_formula,
@@ -264,10 +265,21 @@ def test_formula_space_size_counts_the_enumeration(max_depth, atoms):
 
 
 def test_enumerate_is_deterministic_and_distinct():
-    xs = enumerate_formulas(1, ["a", "b"])
-    ys = enumerate_formulas(1, ["a", "b"])
-    assert xs == ys
-    assert len(set(xs)) == len(xs)
+    """Texts are compared, so a collision the generation made would show
+    here even though `enumerate_formulas` removes none."""
+    for max_depth, atoms in [(1, ["a", "b"]), (2, ["a", "b"]), (1, ["a", "b", "c"])]:
+        xs = list(map(format_formula, enumerate_formulas(max_depth, atoms)))
+        ys = list(map(format_formula, enumerate_formulas(max_depth, atoms)))
+        assert xs == ys
+        assert len(set(xs)) == len(xs)
+
+
+@pytest.mark.parametrize(
+    "draw", [enumerate_formulas, functools.partial(random_formula, seed=0)], ids=["enumerate", "random"]
+)
+def test_negative_depth_is_refused(draw):
+    with pytest.raises(ValueError, match="max_depth must be >= 0"):
+        draw(-1, ["a"])
 
 
 def test_random_formula_deterministic_under_seed():

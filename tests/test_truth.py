@@ -117,6 +117,11 @@ def test_illegal_pairings_raise():
         eval_binary("nope", EvalMode.B, TRUE, TRUE)
 
 
+def test_operand_passed_as_none_that_the_mode_reads_raises():
+    with pytest.raises(ValueError, match="reads an operand passed as None"):
+        eval_binary("or", EvalMode.L, None, TRUE)
+
+
 def test_totality_and_determinism():
     """Every legal (op, mode, operands, at_end) combination has exactly one
     defined output, stable across calls."""
