@@ -37,9 +37,10 @@ propositional operands at most one instance per subformula is ever live and
 the flat rule-set behaviour is recovered exactly.
 
 `Monitor.step` records each cell as a read-only `StepOutcome` (for
-`explain`, `to_dict` and `mapcheck`): the state before and after it and the
-fired instances' values, from which `evaluations` pairs each value with its
-instance; `Monitor.advance` runs the same passes and records nothing.
+`explain`, `to_dict` and `mapcheck`) as its passes make it: firing appends
+each value, and the fold each survivor to the state after, the next step's
+state before; `evaluations` pairs each value with its instance.
+`Monitor.advance` runs the same passes and records nothing.
 `Monitor.clone` copies the live state between cells, and `Monitor.peek`
 returns the verdict `advance` would, firing without pruning and settling
 nothing, so the state stays as it was.  Since the live state is bounded
@@ -298,7 +299,11 @@ class Monitor:
         if self.verdict is not _UNDECIDED:
             raise MonitorError("monitor already produced a verdict; the trace beyond it is ignored")
         self._fire(frozenset(observations), is_last)
-        self._settle()
+        self.cell += 1
+        self.verdict = _VERDICT[self._root.value.kind]
+        if self.verdict is _UNDECIDED:
+            self._reactivate(self.cell)
+            self._merge()
         self._state = None
         return self.verdict
 
@@ -319,16 +324,24 @@ class Monitor:
             raise MonitorError("monitor already produced a verdict; the trace beyond it is ignored")
         obs = frozenset(observations)
         cell = self.cell
-        state_before = self._state or self.active()
-        self._fire(obs, is_last)
-        values = tuple([inst.value for insts in self._live for inst in insts.values()])
-        folded = self._settle()
-        state_after = self._state = None if self.verdict is not _UNDECIDED else self.active()
-        return StepOutcome(
-            self.system, cell, self.verdict, state_before, tuple(sorted(obs)) if obs else (), values, state_after, folded
+        state_before = self._state or self.active()  # a state no step recorded: the first, or after `advance`
+        values = []
+        self._fire(obs, is_last, True, values)
+        self.cell = cell + 1
+        verdict = self.verdict = _VERDICT[self._root.value.kind]
+        folded, state_after = (), None
+        if verdict is _UNDECIDED:
+            self._reactivate(cell + 1)
+            after = []
+            folded = self._merge(after)
+            state_after = tuple(after)
+        self._state = state_after
+        observed = tuple(sorted(obs)) if obs else ()
+        return tuple.__new__(  # skips the named tuple's own __new__, a call in Python
+            StepOutcome, (self.system, cell, verdict, state_before, observed, tuple(values), state_after, folded)
         )
 
-    def _fire(self, obs: frozenset[str], is_last: bool, prune: bool = True) -> None:
+    def _fire(self, obs: frozenset[str], is_last: bool, prune: bool = True, values: list | None = None) -> None:
         """Give every live instance its value this cell, operands first; an
         instance that is not a leaf or an until reads it from its mode's
         `truth.TABLES` table by `is` tests (an `EvalMode` hashes in Python).
@@ -336,12 +349,11 @@ class Monitor:
         value; operands are decided there, so an and/or never is undecided.
         Without `prune`, an until, eventually or always keeps the operands
         it no longer needs, so values are all a fire writes; they are the
-        same either way."""
-        nodes = self._nodes
-        for fid, insts in enumerate(self._live):
+        same either way.  With `values`, each value is appended to it as it
+        is written, in `active()` order: firing spawns and drops nothing."""
+        for node, insts in zip(self._nodes, self._live):
             if not insts:
                 continue
-            node = nodes[fid]
             code = node.code
             if code <= K_TRUE:  # a leaf: one instance, spawned for this cell
                 if code == K_ATOM:
@@ -352,6 +364,8 @@ class Monitor:
                     value = TRUE
                 for inst in insts.values():
                     inst.value = value
+                    if values is not None:
+                        values.append(value)
                 continue
             tables = _TABLES[code]
             for inst in insts.values():
@@ -373,16 +387,8 @@ class Monitor:
                 if is_last and value.kind == "?":  # the paper's end-of-trace rule
                     value = truth.END[KINDS[code]]
                 inst.value = value
-
-    def _settle(self) -> tuple[tuple[int, int], ...]:
-        """Take the verdict from the root's value and, while undecided, make
-        the next cell's state; returns the (fid, epoch) of folded instances."""
-        self.cell += 1
-        self.verdict = _VERDICT[self._root.value.kind]
-        if self.verdict is _UNDECIDED:
-            self._reactivate(self.cell)
-            return self._merge()
-        return ()
+                if values is not None:
+                    values.append(value)
 
     # -- between cells ---------------------------------------------------------
 
@@ -402,12 +408,14 @@ class Monitor:
             if not insts:
                 continue
             code = node.code
-            dropped = []
+            dropped = None
             for epoch, inst in insts.items():
                 if epoch == nxt:
                     continue
                 value = inst.value
                 if value.kind != "?" or inst not in held:  # leaves never outlive their cell
+                    if dropped is None:
+                        dropped = []
                     dropped.append(epoch)
                     continue
                 mode = value.mode
@@ -420,19 +428,21 @@ class Monitor:
                         ops.append(spawn(x, nxt))
                 inst.mode = mode
                 held.update(ops)
-            for epoch in dropped:
+            for epoch in dropped or ():
                 del insts[epoch]
 
-    def _merge(self) -> tuple[tuple[int, int], ...]:
+    def _merge(self, after: list | None = None) -> tuple[tuple[int, int], ...]:
         """Fold instances of one subformula with identical futures into the
         oldest, bottom-up, so that parents compare their operands' survivors;
-        returns the (fid, epoch) of the folded instances.
+        returns the (fid, epoch) of the folded instances.  With `after`, each
+        survivor's (fid, epoch, mode) is appended to it, in `active()` order.
 
         Identical futures means the same mode reading the same operand
-        instances (for an eventually or always, the same set of them).
-        Leaves never have two live instances, as each resolves in its spawn
-        cell."""
+        instances (for an eventually or always, the same set of them).  Two
+        instances are compared directly, three or more keyed by that; leaves
+        never have two, as each resolves in its spawn cell."""
         forward: dict[_Instance, _Instance] | None = None  # folded instance -> its survivor, once one folds
+        record = None if after is None else after.append
         live = self._live
         for fid, node in enumerate(self._nodes):
             insts = live[fid]
@@ -440,21 +450,31 @@ class Monitor:
                 continue
             if forward and not folded.isdisjoint(node.kids):
                 for inst in insts.values():
-                    inst.ops = [forward.get(sub, sub) for sub in inst.ops]
-            if len(insts) < 2:
-                continue
-            as_set = node.code == K_EVENTUALLY or node.code == K_ALWAYS
-            survivors: dict = {}
-            for epoch, inst in list(insts.items()):
-                key = frozenset(inst.ops) if as_set else (inst.mode, tuple(inst.ops))
-                survivor = survivors.setdefault(key, inst)
-                if survivor is not inst:
+                    inst.ops = list(map(forward.get, inst.ops, inst.ops))  # each operand's survivor, or itself
+            if len(insts) > 1:
+                as_set = node.code == K_EVENTUALLY or node.code == K_ALWAYS
+                if len(insts) == 2:
+                    (_, kept), (epoch, inst) = insts.items()
+                    same = set(kept.ops) == set(inst.ops) if as_set else kept.mode is inst.mode and kept.ops == inst.ops
+                    dropped = ((epoch, inst, kept),) if same else ()
+                else:
+                    survivors: dict = {}
+                    dropped = []  # (epoch, instance, survivor) of each instance folded here
+                    for epoch, inst in insts.items():
+                        key = frozenset(inst.ops) if as_set else (inst.mode, tuple(inst.ops))
+                        survivor = survivors.setdefault(key, inst)
+                        if survivor is not inst:
+                            dropped.append((epoch, inst, survivor))
+                for epoch, inst, survivor in dropped:
                     if forward is None:
                         forward, folded, gone = {}, set(), []
                     forward[inst] = survivor
                     del insts[epoch]
                     folded.add(fid)
                     gone.append((fid, epoch))
+            if record is not None:
+                for epoch, inst in insts.items():
+                    record((fid, epoch, inst.mode))
         return () if forward is None else tuple(gone)
 
 

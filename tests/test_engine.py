@@ -27,7 +27,7 @@ from rulerunner import (
     run_trace,
     to_nnf,
 )
-from rulerunner.rules import KINDS
+from rulerunner.rules import K_ATOM, K_NEGATOM, K_TRUE, KINDS
 from rulerunner.truth import FALSE, TRUE
 
 
@@ -116,6 +116,81 @@ class TestStateHandOff:
                     fids = [fid for fid, _, _ in cur.state_before]
                     multi_epoch += len(fids) != len(set(fids))
         assert multi_epoch > 0  # the hand-off was exercised with several epochs of one formula live
+
+
+class TestRecordedCell:
+    """`step` records a cell in the passes that make it; these check the
+    record against the live state and the cell, not against itself."""
+
+    def test_state_after_is_the_live_state(self):
+        rng = random.Random(2718)
+        formulas = [random_formula(3, ["a", "b"], rng) for _ in range(300)]
+        formulas += [to_nnf(parse_formula(t)) for t in ("G F X a", "G F a", "(X a) U b")]
+        undecided = decided = multi_epoch = 0
+        for f in formulas:
+            system = compile_formula(f)
+            for _ in range(4):
+                length = rng.randint(1, 8)
+                cells = tuple(frozenset(x for x in "ab" if rng.random() < 0.3) for _ in range(length))
+                monitor = Monitor(system)
+                for i, cell in enumerate(cells):
+                    outcome = monitor.step(cell, is_last=(i == length - 1))
+                    if outcome.verdict is not Verdict.UNDECIDED:
+                        assert outcome.state_after is None
+                        decided += 1
+                        break
+                    assert outcome.state_after == monitor.active()
+                    undecided += 1
+                    fids = [fid for fid, _, _ in outcome.state_after]
+                    multi_epoch += len(fids) != len(set(fids))
+        assert decided == 1212 and undecided > 1000 and multi_epoch > 0
+
+    def test_values_line_up_with_state_before(self):
+        """Each leaf's recorded value is its truth on the cell, and the
+        root's is the verdict's, read by position in `state_before`."""
+        rng = random.Random(1618)
+        leaves = {K_ATOM: 0, K_NEGATOM: 0, K_TRUE: 0}
+        for _ in range(300):
+            system = compile_formula(random_formula(3, ["a", "b"], rng))
+            cells = tuple(frozenset(x for x in "abc" if rng.random() < 0.4) for _ in range(rng.randint(1, 8)))
+            for outcome in run_trace(system, Trace(cells)).outcomes:
+                cell = cells[outcome.cell]
+                assert len(outcome.values) == len(outcome.state_before)
+                for (fid, _, _), value in zip(outcome.state_before, outcome.values):
+                    node = system.nodes[fid]
+                    if node.code in leaves:
+                        holds = node.code == K_TRUE or (node.atom in cell) is (node.code == K_ATOM)
+                        assert value == (TRUE if holds else FALSE)
+                        leaves[node.code] += 1
+                root = [(fid, epoch) for fid, epoch, _ in outcome.state_before].index((system.root, 0))
+                kind = outcome.values[root].kind
+                assert {"T": Verdict.SUCCESS, "F": Verdict.FAILURE, "?": Verdict.UNDECIDED}[kind] is outcome.verdict
+        assert min(leaves.values()) > 0
+
+    @staticmethod
+    def folds(text: str, trace: str, verdict: Verdict, cell: int) -> tuple[list, set[int]]:
+        """Each cell's `folded`, after checking the run's end, and how many
+        instances each folded subformula held before its fold."""
+        result = run(text, trace)
+        assert (result.verdict, result.deciding_cell) == (verdict, cell)
+        held = set()
+        for outcome in result.outcomes:
+            for fid in {fid for fid, _ in outcome.folded}:
+                held.add(sum(f == fid for f, _, _ in outcome.state_after) + sum(f == fid for f, _ in outcome.folded))
+        return [outcome.folded for outcome in result.outcomes], held
+
+    def test_fold_of_two_instances(self):
+        """`F a` and `F F a` hold two instances before each fold, with
+        operand lists equal only as sets, and are compared directly."""
+        folded, held = self.folds("F F F a", "[. - . - a]", Verdict.SUCCESS, 2)
+        assert folded == [((1, 1), (2, 1)), ((1, 2), (2, 2)), ()]
+        assert held == {2}
+
+    def test_keyed_fold_of_three_instances(self):
+        """`F X a` holds three instances before each fold, so they are keyed."""
+        folded, held = self.folds("G F X a", "[. - . - . - .]", Verdict.FAILURE, 3)
+        assert folded == [(), ((2, 1),), ((2, 2),), ()]
+        assert held == {3}
 
 
 class TestStepExamples:
