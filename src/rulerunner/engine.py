@@ -299,11 +299,7 @@ class Monitor:
         if self.verdict is not _UNDECIDED:
             raise MonitorError("monitor already produced a verdict; the trace beyond it is ignored")
         self._fire(frozenset(observations), is_last)
-        self.cell += 1
-        self.verdict = _VERDICT[self._root.value.kind]
-        if self.verdict is _UNDECIDED:
-            self._reactivate(self.cell)
-            self._merge()
+        self._settle()
         self._state = None
         return self.verdict
 
@@ -327,19 +323,10 @@ class Monitor:
         state_before = self._state or self.active()  # a state no step recorded: the first, or after `advance`
         values = []
         self._fire(obs, is_last, True, values)
-        self.cell = cell + 1
-        verdict = self.verdict = _VERDICT[self._root.value.kind]
-        folded, state_after = (), None
-        if verdict is _UNDECIDED:
-            self._reactivate(cell + 1)
-            after = []
-            folded = self._merge(after)
-            state_after = tuple(after)
+        folded, state_after = self._settle([])
         self._state = state_after
         observed = tuple(sorted(obs)) if obs else ()
-        return tuple.__new__(  # skips the named tuple's own __new__, a call in Python
-            StepOutcome, (self.system, cell, verdict, state_before, observed, tuple(values), state_after, folded)
-        )
+        return StepOutcome(self.system, cell, self.verdict, state_before, observed, tuple(values), state_after, folded)
 
     def _fire(self, obs: frozenset[str], is_last: bool, prune: bool = True, values: list | None = None) -> None:
         """Give every live instance its value this cell, operands first; an
@@ -351,9 +338,11 @@ class Monitor:
         it no longer needs, so values are all a fire writes; they are the
         same either way.  With `values`, each value is appended to it as it
         is written, in `active()` order: firing spawns and drops nothing."""
-        for node, insts in zip(self._nodes, self._live):
+        nodes = self._nodes
+        for fid, insts in enumerate(self._live):
             if not insts:
                 continue
+            node = nodes[fid]
             code = node.code
             if code <= K_TRUE:  # a leaf: one instance, spawned for this cell
                 if code == K_ATOM:
@@ -390,6 +379,19 @@ class Monitor:
                 if values is not None:
                     values.append(value)
 
+    def _settle(self, after: list | None = None) -> tuple[tuple[tuple[int, int], ...], tuple | None]:
+        """Take the verdict from the root's value and, while undecided, make
+        the next cell's state; returns the (fid, epoch) of folded instances
+        and, given a list `after` to record into, that state as `active()`
+        gives it (None once decided, or without `after`)."""
+        self.cell += 1
+        self.verdict = _VERDICT[self._root.value.kind]
+        if self.verdict is not _UNDECIDED:
+            return (), None
+        self._reactivate(self.cell)
+        folded = self._merge(after)
+        return folded, None if after is None else tuple(after)
+
     # -- between cells ---------------------------------------------------------
 
     def _reactivate(self, nxt: int) -> None:
@@ -408,14 +410,12 @@ class Monitor:
             if not insts:
                 continue
             code = node.code
-            dropped = None
+            dropped = []
             for epoch, inst in insts.items():
                 if epoch == nxt:
                     continue
                 value = inst.value
                 if value.kind != "?" or inst not in held:  # leaves never outlive their cell
-                    if dropped is None:
-                        dropped = []
                     dropped.append(epoch)
                     continue
                 mode = value.mode
@@ -428,7 +428,7 @@ class Monitor:
                         ops.append(spawn(x, nxt))
                 inst.mode = mode
                 held.update(ops)
-            for epoch in dropped or ():
+            for epoch in dropped:
                 del insts[epoch]
 
     def _merge(self, after: list | None = None) -> tuple[tuple[int, int], ...]:
@@ -438,11 +438,10 @@ class Monitor:
         survivor's (fid, epoch, mode) is appended to it, in `active()` order.
 
         Identical futures means the same mode reading the same operand
-        instances (for an eventually or always, the same set of them).  Two
-        instances are compared directly, three or more keyed by that; leaves
-        never have two, as each resolves in its spawn cell."""
+        instances (for an eventually or always, the same set of them).
+        Leaves never have two live instances, as each resolves in its spawn
+        cell."""
         forward: dict[_Instance, _Instance] | None = None  # folded instance -> its survivor, once one folds
-        record = None if after is None else after.append
         live = self._live
         for fid, node in enumerate(self._nodes):
             insts = live[fid]
@@ -450,31 +449,23 @@ class Monitor:
                 continue
             if forward and not folded.isdisjoint(node.kids):
                 for inst in insts.values():
-                    inst.ops = list(map(forward.get, inst.ops, inst.ops))  # each operand's survivor, or itself
+                    inst.ops = [forward.get(sub, sub) for sub in inst.ops]
             if len(insts) > 1:
                 as_set = node.code == K_EVENTUALLY or node.code == K_ALWAYS
-                if len(insts) == 2:
-                    (_, kept), (epoch, inst) = insts.items()
-                    same = set(kept.ops) == set(inst.ops) if as_set else kept.mode is inst.mode and kept.ops == inst.ops
-                    dropped = ((epoch, inst, kept),) if same else ()
-                else:
-                    survivors: dict = {}
-                    dropped = []  # (epoch, instance, survivor) of each instance folded here
-                    for epoch, inst in insts.items():
-                        key = frozenset(inst.ops) if as_set else (inst.mode, tuple(inst.ops))
-                        survivor = survivors.setdefault(key, inst)
-                        if survivor is not inst:
-                            dropped.append((epoch, inst, survivor))
-                for epoch, inst, survivor in dropped:
-                    if forward is None:
-                        forward, folded, gone = {}, set(), []
-                    forward[inst] = survivor
-                    del insts[epoch]
-                    folded.add(fid)
-                    gone.append((fid, epoch))
-            if record is not None:
+                survivors: dict = {}
+                for epoch, inst in list(insts.items()):
+                    key = frozenset(inst.ops) if as_set else (inst.mode, tuple(inst.ops))
+                    survivor = survivors.setdefault(key, inst)
+                    if survivor is not inst:
+                        if forward is None:
+                            forward, folded, gone = {}, set(), []
+                        forward[inst] = survivor
+                        del insts[epoch]
+                        folded.add(fid)
+                        gone.append((fid, epoch))
+            if after is not None:
                 for epoch, inst in insts.items():
-                    record((fid, epoch, inst.mode))
+                    after.append((fid, epoch, inst.mode))
         return () if forward is None else tuple(gone)
 
 

@@ -181,13 +181,13 @@ class TestRecordedCell:
 
     def test_fold_of_two_instances(self):
         """`F a` and `F F a` hold two instances before each fold, with
-        operand lists equal only as sets, and are compared directly."""
+        operand lists equal only as sets, so they fold as sets."""
         folded, held = self.folds("F F F a", "[. - . - a]", Verdict.SUCCESS, 2)
         assert folded == [((1, 1), (2, 1)), ((1, 2), (2, 2)), ()]
         assert held == {2}
 
-    def test_keyed_fold_of_three_instances(self):
-        """`F X a` holds three instances before each fold, so they are keyed."""
+    def test_fold_of_three_instances(self):
+        """`F X a` holds three instances before each fold; one folds."""
         folded, held = self.folds("G F X a", "[. - . - . - .]", Verdict.FAILURE, 3)
         assert folded == [(), ((2, 1),), ((2, 2),), ()]
         assert held == {3}
