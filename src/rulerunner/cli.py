@@ -172,19 +172,21 @@ def run_differential(
     (formula, trace) pair; returns (comparisons, mismatches).
 
     Traces with equal cells get equal answers from both sides, so each
-    distinct trace is run and evaluated once per formula.  Every pair is
-    still counted and compared, and a mismatch is listed once per pair, in
-    formula order and then trace order."""
+    distinct trace is run and evaluated once per formula: one
+    `CachedMonitor.run_many` walks all of them, a prefix they share once,
+    and the oracle evaluates each in turn.  Every pair is still counted and
+    compared, and a mismatch is listed once per pair, in formula order and
+    then trace order."""
     distinct: dict[tuple[frozenset[str], ...], Trace] = {}
     for u in traces:
         distinct.setdefault(u.cells, u)
+    runs = tuple(distinct)
     mismatches = []
     success = Verdict.SUCCESS
     for f in formulas:
-        run = CachedMonitor(compile_formula(f)).run
+        verdicts = CachedMonitor(compile_formula(f)).run_many(runs)
         wrong = {}
-        for cells, u in distinct.items():
-            got = run(cells)[0]
+        for (cells, u), (got, _) in zip(distinct.items(), verdicts):
             want = oracle_eval(f, u, 0)
             if (got is success) != want:
                 wrong[cells] = got, want

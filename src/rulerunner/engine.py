@@ -51,6 +51,8 @@ representative monitor, which the cache only peeks at and clones: a
 transition that decides is read off it by a peek, and only one to an
 undecided state clones it and advances the clone.  It keeps at most
 `NODE_CAP` states; one found past the cap is handed out without being kept.
+`CachedMonitor.run_many` walks a set of finite traces together, so a
+prefix they share costs one lookup per cell, not one per trace.
 """
 
 from __future__ import annotations
@@ -555,7 +557,13 @@ class CachedMonitor:
     a letter with a recorded transition, and only `_miss` writes one, end
     transitions into a private table of the same shape.  `table.get(letter)`
     and then the row is the one documented fast-path read: a caller that
-    holds letters may read it and call `next` on a miss, as `stream` does."""
+    holds letters may read it and call `next` on a miss, as `stream` does.
+
+    `run` walks one trace from `initial`.  `run_many` walks a set of traces
+    from it together, one lookup per distinct prefix, and each trace's rest
+    by `run`'s loop once no other trace shares it.  It groups traces by
+    their raw cells, so those must be frozensets, as `Trace.cells` holds
+    them, whose hash is kept: grouping a cell costs no intersection."""
 
     def __init__(self, system: RuleSystem):
         self.atoms = frozenset(node.atom for node in system.nodes if node.atom is not None)
@@ -586,11 +594,64 @@ class CachedMonitor:
         """Verdict and deciding cell of a whole trace, as `run_trace` gives them."""
         if len(cells) == 0:
             raise MonitorError("cannot monitor an empty trace")
+        return self._walk(self.initial, cells, 0)
+
+    def run_many(self, runs) -> list[tuple[Verdict, int]]:
+        """`run` of each run, in order, with the runs walked together from
+        the initial state: at each cell the runs still walking split into
+        parts by their cell, and each part takes one lookup for the runs
+        that end there and one for those that go on, so a prefix shared by
+        several runs is walked once.  A part of one run walks the rest of
+        it alone.  Raises `MonitorError` if any run is empty."""
+        if not all(runs):
+            raise MonitorError("cannot monitor an empty trace")
+        atoms = self.atoms
+        table = self.table
+        ends = self._ends
+        miss = self._miss
+        walk = self._walk
+        out: list = [None] * len(runs)
+        parts = [(self.initial, 0, range(len(runs)))]  # (state before cell i, i, the runs that share it)
+        while parts:
+            state, i, part = parts.pop()
+            nxt = i + 1
+            split: dict = {}
+            for n in part:
+                split.setdefault(runs[n][i], []).append(n)
+            for cell, group in split.items():
+                if len(group) == 1:
+                    n = group[0]
+                    out[n] = walk(state, runs[n], i)
+                    continue
+                letter = atoms.intersection(cell)
+                going = []
+                ended = None
+                for n in group:
+                    if len(runs[n]) > nxt:
+                        going.append(n)
+                        continue
+                    if ended is None:  # `end`, inlined
+                        row = ends.get(letter)
+                        ended = row and row.get(state) or miss(state, letter, True), i
+                    out[n] = ended
+                if going:  # `next`, inlined
+                    row = table.get(letter)
+                    target = row and row.get(state) or miss(state, letter)
+                    if target.__class__ is Verdict:
+                        decided = target, i
+                        for n in going:
+                            out[n] = decided
+                    else:
+                        parts.append((target, nxt, going))
+        return out
+
+    def _walk(self, state: Monitor, cells, i: int) -> tuple[Verdict, int]:
+        """Verdict and deciding cell of `cells` read from cell `i` on, with
+        `state` before cell `i`."""
         last = len(cells) - 1
         atoms = self.atoms
         table = self.table
-        state = self.initial
-        for i in range(last):  # `next`, inlined
+        for i in range(i, last):  # `next`, inlined
             letter = atoms.intersection(cells[i])
             row = table.get(letter)
             state = row and row.get(state) or self._miss(state, letter)

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import gc
 import hashlib
 import io
@@ -19,6 +20,7 @@ from rulerunner import (
     Trace,
     Verdict,
     compile_formula,
+    enumerate_formulas,
     explain,
     oracle_eval,
     parse_formula,
@@ -832,6 +834,98 @@ class TestCachedMonitor:
     def test_empty_trace_rejected(self):
         with pytest.raises(MonitorError):
             CachedMonitor(system_for("a")).run(())
+
+
+def criterion4_runs() -> tuple:
+    """Criterion-4-style traces (9 per length 1-6 and density), some of them
+    twice, and prefixes of some, each of which ends where the run it cuts
+    goes on; shuffled, so a part's runs are not adjacent."""
+    rng = random.Random(404)
+    runs = [
+        tuple(frozenset(x for x in "ab" if rng.random() < density) for _ in range(length))
+        for length in range(1, 7)
+        for density in (0.0, 0.3, 0.7, 1.0)
+        for _ in range(9)
+    ]
+    runs += runs[::7]
+    runs += [cells[:k] for cells in runs[::5] for k in range(1, len(cells))]
+    rng.shuffle(runs)
+    return tuple(runs)
+
+
+def run_family(rng) -> tuple:
+    """A 10-60-cell trace, traces that branch off it, a prefix of it and a
+    repeat of one of them."""
+    density = rng.choice((0.05, 0.3, 0.7))
+
+    def cells(n):
+        return tuple(frozenset(x for x in "abc" if rng.random() < density) for _ in range(n))
+
+    base = cells(rng.randint(10, 60))
+    runs = [base]
+    for _ in range(5):
+        cut = rng.randrange(len(base))
+        runs.append(base[:cut] + cells(rng.randint(max(1, 10 - cut), 60 - cut)))
+    runs.append(base[: rng.randint(1, len(base))])
+    runs.append(runs[rng.randrange(len(runs))])
+    return tuple(runs)
+
+
+def deep_families(count: int = 300):
+    rng = random.Random(3303)
+    return [(random_formula(3 + k % 2, ["a", "b"], rng), run_family(rng)) for k in range(count)]
+
+
+class TestRunMany:
+    def test_criterion4_runs_match_run(self):
+        runs = criterion4_runs()
+        assert len(set(runs)) < len(runs)
+        for f in enumerate_formulas(2, ["a", "b"])[::10]:
+            system = compile_formula(f)
+            run = CachedMonitor(system).run
+            assert CachedMonitor(system).run_many(runs) == [run(cells) for cells in runs], f
+
+    @pytest.mark.parametrize("cap", [None, 1])
+    def test_shared_prefix_families_match_run(self, monkeypatch, cap):
+        """With a cap of 1, every state found past the initial one is handed
+        out unkept, so parts walk on states that remember nothing."""
+        if cap is not None:
+            monkeypatch.setattr(engine, "NODE_CAP", cap)
+        for f, runs in deep_families():
+            system = compile_formula(f)
+            cache = CachedMonitor(system)
+            want = [cache.run(cells) for cells in runs]
+            assert CachedMonitor(system).run_many(runs) == want, (f, runs)
+            assert cache.run_many(runs) == want  # warm
+
+    def test_each_transition_is_missed_as_per_run(self):
+        """On fresh caches, `run_many` misses each (state, letter, is_last)
+        exactly as often as `run` over each run does: no transition is
+        fired twice or skipped."""
+
+        def recorded(cache):
+            calls = []
+            miss = cache._miss
+            cache._miss = lambda state, letter, is_last=False: (
+                calls.append((engine._state_key(state), letter, is_last)) or miss(state, letter, is_last)
+            )
+            return calls
+
+        pairs = [(f, criterion4_runs()) for f in enumerate_formulas(2, ["a", "b"])[::97]] + deep_families(100)
+        for f, runs in pairs:
+            system = compile_formula(f)
+            together, alone = CachedMonitor(system), CachedMonitor(system)
+            calls_together, calls_alone = recorded(together), recorded(alone)
+            together.run_many(runs)
+            for cells in runs:
+                alone.run(cells)
+            assert calls_together and collections.Counter(calls_together) == collections.Counter(calls_alone), f
+
+    def test_no_runs_and_an_empty_run(self):
+        cache = CachedMonitor(system_for("G (a | X b)"))
+        assert cache.run_many(()) == []
+        with pytest.raises(MonitorError, match="cannot monitor an empty trace"):
+            cache.run_many(((frozenset({"a"}),), ()))
 
 
 class TestStateSize:

@@ -36,3 +36,4 @@ def test_library_use_blocks_run_as_documented():
     assert values["oracle_eval(f, u, 0)"] is True
     assert values['check_run(to_nnf(parse_formula("a | X b")), parse_trace_inline("[b - b]")).passed'] is True
     assert values["cache.run(u.cells)"] == (Verdict.SUCCESS, 2)
+    assert values["cache.run_many([u.cells, u.cells[:2]])"] == [(Verdict.SUCCESS, 2), (Verdict.FAILURE, 1)]
